@@ -14,9 +14,9 @@ import dataclasses
 import json
 import math
 import sys
+import typing
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import islice
 from typing import List, Optional
 
 import numpy as np
@@ -65,7 +65,29 @@ class RunConfig:
     out: Optional[str] = None
 
 
-_CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
+_CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+
+
+def _config_value(name: str, value):
+    """A config file value checked against its RunConfig field type.
+
+    An int is accepted for a float field and converted, as the flag would be;
+    a bool is accepted only for a bool field.
+    """
+    kinds = typing.get_args(_CONFIG_FIELDS[name]) or (_CONFIG_FIELDS[name],)
+    if object in kinds or (value is None and type(None) in kinds):
+        return value
+    kind = kinds[0]
+    if isinstance(value, kind) and isinstance(value, bool) == (kind is bool):
+        return value
+    if kind is float and type(value) is int:
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ValueError(
+        f"config key {name!r} must be {kind.__name__}, got {json.dumps(value)}"
+    )
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -75,7 +97,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             file_cfg = json.load(fh)
         if not isinstance(file_cfg, dict):
             raise ValueError("config file must hold a JSON object")
-        unknown = set(file_cfg) - _CONFIG_FIELDS
+        unknown = set(file_cfg) - _CONFIG_FIELDS.keys()
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
     merged = {}
@@ -84,7 +106,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         if flag is not None:
             merged[name] = flag
         elif name in file_cfg:
-            merged[name] = file_cfg[name]
+            merged[name] = _config_value(name, file_cfg[name])
     return RunConfig(**merged)
 
 
@@ -178,7 +200,7 @@ def _chain_sites(cfg: RunConfig) -> int:
 
 def _cmd_gen(cfg: RunConfig) -> int:
     limit = _require(cfg, "limit")
-    profiles = [core.profile(n) for n in core.patterned_sequence(limit)]
+    profiles = (core.profile(n) for n in core.patterned_sequence(limit))
     fmt = _format(cfg, "csv")
     with _out_stream(cfg.out) as stream:
         if fmt == "csv":
@@ -225,8 +247,7 @@ def _cmd_count(cfg: RunConfig) -> int:
 
 def _cmd_primes(cfg: RunConfig) -> int:
     limit = _require(cfg, "limit")
-    patterned = graphs.patterned_primes(limit)
-    gaps = graphs.gap_primes(limit)
+    patterned, gaps = graphs.partition_primes(limit)
     fmt = _format(cfg, "csv")
     with _out_stream(cfg.out) as stream:
         if fmt == "csv":
@@ -243,8 +264,8 @@ def _cmd_primes(cfg: RunConfig) -> int:
 
 def _cmd_turns(cfg: RunConfig) -> int:
     k = _require(cfg, "k")
-    labels = core.turn_sequence(k)
-    members = list(islice(core.iter_patterned(), k))
+    members = core.first_patterned(k)
+    labels = [core.turn(n) for n in members]
     fmt = _format(cfg, "csv")
     with _out_stream(cfg.out) as stream:
         if fmt == "csv":

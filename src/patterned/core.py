@@ -12,7 +12,8 @@ against each other.
 """
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from itertools import islice
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from .errors import InvariantError
 
@@ -231,15 +232,15 @@ def turn(n: int) -> str:
     return prof.turn
 
 
+def first_patterned(k: int) -> list:
+    """The first k qualifying numbers, ascending."""
+    _check_positive(k, "k")
+    return list(islice(iter_patterned(), k))
+
+
 def turn_sequence(k: int) -> list:
     """Turn labels of the first k qualifying numbers."""
-    _check_positive(k, "k")
-    labels = []
-    for n in iter_patterned():
-        labels.append(turn(n))
-        if len(labels) == k:
-            return labels
-    raise InvariantError("ran out of representable integers")  # pragma: no cover
+    return [turn(n) for n in first_patterned(k)]
 
 
 def site_energy(
@@ -253,13 +254,33 @@ def site_energy(
     The penalty term is 1 when the site's turn equals ``prev_turn`` (a
     straight run of identical turns, used as a curvature proxy), else 0.
     """
+    return site_energies([n], alpha, beta, prev_turn)[0][0]
+
+
+def site_energies(
+    members: Iterable[int],
+    alpha: float = 1.0,
+    beta: float = 0.5,
+    prev_turn: Optional[str] = None,
+) -> Tuple[List[float], List[str]]:
+    """Site energies and turn labels along qualifying numbers, one profile each.
+
+    Each member's repeat-penalty context is the turn of the member before it;
+    the first member's is ``prev_turn``.
+    """
     if prev_turn not in (None, TURN_LEFT, TURN_RIGHT):
         raise ValueError(f"prev_turn must be 'L', 'R' or None, got {prev_turn!r}")
     for name, value in (("alpha", alpha), ("beta", beta)):
         if not (value == value and abs(value) != float("inf")):
             raise ValueError(f"{name} must be finite, got {value}")
-    prof = profile(n)
-    if not prof.is_patterned:
-        raise ValueError(f"site energy is undefined for {n}: no digit-divisor match")
-    repeat = 1.0 if prev_turn is not None and prev_turn == prof.turn else 0.0
-    return alpha * prof.match_count + beta * repeat
+    energies: List[float] = []
+    turns: List[str] = []
+    for n in members:
+        prof = profile(n)
+        if not prof.is_patterned:
+            raise ValueError(f"site energy is undefined for {n}: no digit-divisor match")
+        repeat = 1.0 if prev_turn == prof.turn else 0.0
+        energies.append(alpha * prof.match_count + beta * repeat)
+        turns.append(prof.turn)
+        prev_turn = prof.turn
+    return energies, turns

@@ -8,23 +8,25 @@ site's turn label, followed by a coin-conditioned shift with reflecting ends.
 
 Oscillator physics is computed entirely in the single-excitation sector,
 where the interpolated chain Hamiltonian is a real symmetric tridiagonal
-matrix: diagonal (1-s)*omega_n, off-diagonal s*g(turn_n).
+matrix: diagonal (1-s)*omega_n, off-diagonal s*g(turn_n). Its eigensystem
+comes from LAPACK through :func:`tridiag.eigh_tridiagonal`.
 """
 
 import math
 from dataclasses import dataclass, replace
 from itertools import islice
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .core import (
     TURN_LEFT,
     TURN_RIGHT,
+    first_patterned,
     iter_patterned,
     patterned_sequence,
     profile,
-    site_energy,
+    site_energies,
     turn_sequence,
 )
 from .errors import ConvergenceError
@@ -193,7 +195,7 @@ def run_walk(
     shape (steps + 1, N); row 0 is the initial distribution.
     """
     if n_positions < 2:
-        raise ValueError(f"the walk needs at least 2 positions, got {n_positions}")
+        raise ValueError(f"sites must be >= 2 for a walk, got {n_positions}")
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     turns = turn_sequence(n_positions)
@@ -216,22 +218,7 @@ def energy_landscape(limit: int, alpha: float = 1.0, beta: float = 0.5) -> List[
     This is the diagonal Hamiltonian of the sequence: each entry is the
     site energy with the previous site's turn as the repeat-penalty context.
     """
-    members = patterned_sequence(limit)
-    energies = []
-    prev: Optional[str] = None
-    for n in members:
-        energies.append(site_energy(n, prev_turn=prev, alpha=alpha, beta=beta))
-        prev = profile(n).turn
-    return energies
-
-
-def _first_site_energies(count: int, alpha: float, beta: float) -> List[float]:
-    energies = []
-    prev: Optional[str] = None
-    for n in islice(iter_patterned(), count):
-        energies.append(site_energy(n, prev_turn=prev, alpha=alpha, beta=beta))
-        prev = profile(n).turn
-    return energies
+    return site_energies(patterned_sequence(limit), alpha, beta)[0]
 
 
 @dataclass(frozen=True)
@@ -284,15 +271,16 @@ def patterned_chain(
     chain pictures together); ``omega_mode='constant'`` uses a flat omega.
     """
     if n_sites < 1:
-        raise ValueError(f"n_sites must be >= 1, got {n_sites}")
+        raise ValueError(f"sites must be >= 1, got {n_sites}")
     if omega_mode == OMEGA_FROM_ENERGY:
-        omegas = tuple(_first_site_energies(n_sites, alpha, beta))
+        energies, labels = site_energies(first_patterned(n_sites), alpha, beta)
+        omegas = tuple(energies)
     elif omega_mode == OMEGA_CONSTANT:
+        labels = turn_sequence(n_sites)
         omegas = (float(omega),) * n_sites
     else:
         raise ValueError(f"omega_mode must be 'energy' or 'constant', got {omega_mode!r}")
-    turns = tuple(turn_sequence(n_sites - 1)) if n_sites > 1 else ()
-    return OscillatorChain(omegas=omegas, g_L=g_L, g_R=g_R, turns=turns, s=s)
+    return OscillatorChain(omegas=omegas, g_L=g_L, g_R=g_R, turns=tuple(labels[:-1]), s=s)
 
 
 def build_single_excitation_hamiltonian(chain: OscillatorChain) -> SymTridiag:
@@ -347,7 +335,7 @@ class SweepPoint:
 def adiabatic_sweep(chain: OscillatorChain, s_grid: Sequence[float]) -> List[SweepPoint]:
     """Spectra of H(s) over a grid of s values (the chain's own s is ignored)."""
     if chain.n_sites < 2:
-        raise ValueError("a spectral gap needs at least 2 sites")
+        raise ValueError(f"sites must be >= 2 for a spectral gap, got {chain.n_sites}")
     points = []
     for s in s_grid:
         if not 0.0 <= s <= 1.0:

@@ -7,6 +7,7 @@ an internal bug rather than a user error.
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Tuple
 
 from .core import (
@@ -48,7 +49,7 @@ class PatternedDag:
     chain_edges: Tuple[Tuple[int, int], ...]
     cluster_edges: Tuple[Tuple[int, int], ...]
 
-    @property
+    @cached_property
     def edges(self) -> Tuple[Tuple[int, int], ...]:
         """Deduplicated union of both edge kinds, ascending."""
         return tuple(sorted(set(self.chain_edges) | set(self.cluster_edges)))
@@ -65,14 +66,23 @@ def classify(n: int) -> str:
     return KIND_PATTERNED_COMPOSITE if is_patterned(n) else KIND_UNPATTERNED
 
 
+def partition_primes(limit: int) -> Tuple[List[int], List[int]]:
+    """Primes <= limit from one sieve, split into the qualifying ones
+    (p <= 9 or digit 1 present) and the gap primes (> 9 and no digit 1)."""
+    patterned, gap = [], []
+    for p in primes_up_to(limit):
+        (patterned if is_patterned_prime(p, assume_prime=True) else gap).append(p)
+    return patterned, gap
+
+
 def patterned_primes(limit: int) -> List[int]:
     """Primes <= limit that qualify (p <= 9 or digit 1 present)."""
-    return [p for p in primes_up_to(limit) if is_patterned_prime(p, assume_prime=True)]
+    return partition_primes(limit)[0]
 
 
 def gap_primes(limit: int) -> List[int]:
     """Primes <= limit that do not qualify (> 9 and no digit 1)."""
-    return [p for p in primes_up_to(limit) if not is_patterned_prime(p, assume_prime=True)]
+    return partition_primes(limit)[1]
 
 
 def build_dag(
@@ -90,16 +100,13 @@ def build_dag(
     if not isinstance(limit, int) or limit < 2:
         raise ValueError(f"limit must be an integer >= 2, got {limit!r}")
     members = patterned_sequence(limit)
+    pp, gp = partition_primes(limit)
     ns = set(members)
     if include_gap_primes:
-        ns.update(gap_primes(limit))
+        ns.update(gp)
     nodes = tuple(NodeLabel(n, classify(n)) for n in sorted(ns))
     chain = tuple(zip(members, members[1:])) if include_chain else ()
-    if include_prime_cluster:
-        pp = patterned_primes(limit)
-        cluster = tuple(zip(pp, pp[1:]))
-    else:
-        cluster = ()
+    cluster = tuple(zip(pp, pp[1:])) if include_prime_cluster else ()
     return PatternedDag(nodes=nodes, chain_edges=chain, cluster_edges=cluster)
 
 

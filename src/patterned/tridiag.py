@@ -1,10 +1,9 @@
-"""Self-contained eigensolver for real symmetric tridiagonal matrices.
+"""Real symmetric tridiagonal matrices and their eigendecomposition.
 
-Implicit-shift QL with accumulated plane rotations, so eigenvalues and an
-orthonormal eigenvector set come out of one pass. Off-diagonal entries are
-declared negligible with the classic floating-point test
-``|e| + (|d_i| + |d_i+1|) == |d_i| + |d_i+1|``, which makes exactly diagonal
-input converge immediately and untouched.
+The eigensolver hands the dense matrix to LAPACK through
+``numpy.linalg.eigh``, which returns eigenvalues in ascending order with an
+orthonormal set of eigenvector columns. Exactly diagonal input comes back
+untouched: its eigenvalues exact and its eigenvectors signed basis vectors.
 """
 
 from dataclasses import dataclass
@@ -12,9 +11,12 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, ResourceLimitError
 
-MAX_QL_SWEEPS = 50
+# Largest matrix the dense eigensolve accepts. The dense matrix, its LAPACK
+# copy and workspace, and the eigenvectors peak at about 5 n^2 doubles,
+# 1 GB at this size.
+MAX_DENSE_SITES = 5000
 
 
 @dataclass(frozen=True)
@@ -64,65 +66,20 @@ class SymTridiag:
 def eigh_tridiagonal(matrix: SymTridiag) -> Tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvector columns.
 
-    Raises ConvergenceError, echoing the matrix bands, if any eigenvalue
-    fails to settle within MAX_QL_SWEEPS implicit-shift sweeps.
+    Raises ResourceLimitError before the dense matrix is built when it would
+    have more than MAX_DENSE_SITES rows, and ConvergenceError, echoing the
+    matrix bands, when LAPACK reports that the eigensolve did not converge.
     """
-    n = matrix.n
-    d = matrix.diag.copy()
-    e = np.zeros(n)
-    e[: n - 1] = matrix.offdiag
-    z = np.eye(n)
-
-    for l in range(n):
-        sweeps = 0
-        while True:
-            for m in range(l, n - 1):
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) + dd == dd:
-                    break
-            else:
-                m = n - 1
-            if m == l:
-                break
-            sweeps += 1
-            if sweeps > MAX_QL_SWEEPS:
-                raise ConvergenceError(
-                    f"QL failed to converge at eigenvalue {l} after "
-                    f"{MAX_QL_SWEEPS} sweeps; diag={matrix.diag!r}, "
-                    f"offdiag={matrix.offdiag!r}"
-                )
-            # implicit shift from the 2x2 block at l
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = np.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + (r if g >= 0 else -r))
-            s = c = 1.0
-            p = 0.0
-            underflow = False
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = np.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    underflow = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                col = z[:, i + 1].copy()
-                z[:, i + 1] = s * z[:, i] + c * col
-                z[:, i] = c * z[:, i] - s * col
-            if underflow:
-                continue
-            d[l] -= p
-            e[l] = g
-            e[m] = 0.0
-
-    order = np.argsort(d, kind="stable")
-    return d[order], z[:, order]
+    if matrix.n > MAX_DENSE_SITES:
+        raise ResourceLimitError(
+            f"sites must be <= {MAX_DENSE_SITES} for the dense eigensolve, "
+            f"got {matrix.n}"
+        )
+    try:
+        values, vectors = np.linalg.eigh(matrix.to_dense())
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(
+            f"eigensolve failed to converge ({exc}); diag={matrix.diag!r}, "
+            f"offdiag={matrix.offdiag!r}"
+        ) from exc
+    return values, vectors

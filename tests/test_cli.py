@@ -1,10 +1,12 @@
 """Command-line surface tests: formats, exit codes, config handling, goldens."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
 
+from patterned import core
 from patterned.cli import cli_dispatch
 from patterned.serialize import parse_profile_json, profile_json
 from patterned.core import profile
@@ -97,6 +99,14 @@ class TestTurns:
         assert lines[0] == "index,n,turn"
         assert lines[1] == "1,1,L"
         assert lines[12] == "12,12,R"
+
+    def test_enumerates_once(self, capsys, monkeypatch):
+        scans = []
+        real = core.iter_patterned
+        monkeypatch.setattr(core, "iter_patterned", lambda: scans.append(1) or real())
+        code, out, _ = run(capsys, "turns", "--k", "12", "--format", "json")
+        assert code == 0 and len(scans) == 1
+        assert json.loads(out)["turns"] == ["L"] * 11 + ["R"]
 
 
 class TestCurve:
@@ -320,12 +330,60 @@ class TestConfig:
         code, _, _ = run(capsys, "gen", "--config", str(tmp_path / "nope.json"))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "values, key",
+        [
+            ({"sites": True}, "sites"),
+            ({"sites": 3.0}, "sites"),
+            ({"sites": 3, "s": True}, "s"),
+            ({"sites": 3, "g_l": "1"}, "g_l"),
+            ({"sites": 3, "omega_mode": 1}, "omega_mode"),
+        ],
+    )
+    def test_config_value_type_checked(self, capsys, tmp_path, values, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        code, out, err = run(capsys, "modes", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert f"config key {key!r}" in err
+
+    def test_config_bool_field_takes_only_bool(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"limit": 19, "chain": 1}))
+        code, _, err = run(capsys, "dag", "--config", str(cfg))
+        assert code == 2 and "'chain'" in err
+
+    def test_config_int_accepted_for_float(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sites": 4, "s": 1, "g_l": 2, "g_r": 1}))
+        code, from_file, _ = run(capsys, "modes", "--config", str(cfg))
+        assert code == 0
+        code, from_flags, _ = run(
+            capsys, "modes", "--sites", "4", "--s", "1", "--g-l", "2", "--g-r", "1"
+        )
+        assert code == 0 and from_file == from_flags
+
 
 class TestExitCodes:
     def test_validation_error_names_parameter(self, capsys):
         code, _, err = run(capsys, "gen", "--limit", "0")
         assert code == 2
         assert "limit" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("walk", "--sites", "1"),
+            ("walk", "--sites", "0"),
+            ("modes", "--sites", "0"),
+            ("modes", "--sites", "-3"),
+            ("sweep", "--sites", "1"),
+        ],
+    )
+    def test_too_few_sites_names_the_flag(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert re.search(r"\bsites must be >= \d", err)
 
     def test_argparse_rejects_unknown_flag(self, capsys):
         assert cli_dispatch(["gen", "--frobnicate"]) == 2

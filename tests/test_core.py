@@ -18,6 +18,7 @@ from patterned.core import (
     patterned_sequence,
     primes_up_to,
     profile,
+    site_energies,
     site_energy,
     turn,
     turn_sequence,
@@ -250,3 +251,30 @@ class TestSiteEnergy:
                 base = site_energy(n, prev, alpha=1.0, beta=1.0)
                 assert site_energy(n, prev, alpha=2.0, beta=1.0) >= base
                 assert site_energy(n, prev, alpha=1.0, beta=2.0) >= base
+
+
+class TestSiteEnergies:
+    @pytest.mark.parametrize("alpha, beta", [(1.0, 0.5), (0.3, 1.7), (2, 0)])
+    def test_matches_naive_energies(self, alpha, beta):
+        members = patterned_sequence(500)
+        energies, turns = site_energies(members, alpha, beta)
+        prev = None
+        for n, energy, label in zip(members, energies, turns):
+            matches = sum(1 for c in set(str(n)) if c != "0" and n % int(c) == 0)
+            expected_turn = "L" if matches % 2 else "R"
+            assert label == expected_turn
+            assert energy == alpha * matches + beta * (1.0 if prev == label else 0.0)
+            prev = label
+
+    def test_one_profile_per_member(self, monkeypatch):
+        calls = []
+        real = core.profile
+        monkeypatch.setattr(core, "profile", lambda n: calls.append(n) or real(n))
+        site_energies(patterned_sequence(100))
+        assert calls == patterned_sequence(100)
+
+    def test_rejects_non_patterned_and_non_finite(self):
+        with pytest.raises(ValueError):
+            site_energies([1, 23])
+        with pytest.raises(ValueError):
+            site_energies([1], alpha=float("nan"))

@@ -8,6 +8,7 @@ matrix-vector products against the vectorized implementation.
 import numpy as np
 import pytest
 
+from patterned import core
 from patterned.core import patterned_sequence, turn_sequence
 from patterned.curves import trace
 from patterned.dynamics import (
@@ -236,6 +237,14 @@ class TestOscillatorChain:
         chain = patterned_chain(12, g_L=1.0, g_R=0.5, alpha=1.0, beta=0.0)
         assert chain.omegas == tuple([1.0] * 11 + [2.0])
         assert chain.turns == tuple(turn_sequence(11))
+
+    def test_patterned_chain_one_profile_per_site(self, monkeypatch):
+        calls = []
+        real = core.profile
+        monkeypatch.setattr(core, "profile", lambda n: calls.append(n) or real(n))
+        chain = patterned_chain(40, g_L=1.0, g_R=0.5)
+        assert calls == patterned_sequence(100)[:40]
+        assert chain.turns == tuple(turn_sequence(39))
 
     def test_patterned_chain_constant_omegas(self):
         chain = patterned_chain(5, g_L=1.0, g_R=1.0, omega_mode="constant", omega=2.5)

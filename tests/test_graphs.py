@@ -2,6 +2,7 @@
 
 import pytest
 
+from patterned import graphs
 from patterned.core import is_prime, patterned_sequence, primes_up_to
 from patterned.errors import InvariantError
 from patterned.graphs import (
@@ -16,6 +17,7 @@ from patterned.graphs import (
     classify,
     gap_primes,
     gap_statistics,
+    partition_primes,
     patterned_primes,
     verify_acyclic_and_sort,
 )
@@ -71,6 +73,14 @@ class TestPrimePartition:
         assert not set(pp) & set(gp)
         assert sorted(pp + gp) == primes_up_to(10000)
 
+    def test_partition_primes_sieves_once(self, monkeypatch):
+        sieves = []
+        monkeypatch.setattr(graphs, "primes_up_to", lambda n: sieves.append(n) or primes_up_to(n))
+        assert partition_primes(100) == (PATTERNED_PRIMES_100, GAP_PRIMES_100)
+        assert sieves == [100]
+        build_dag(100, include_gap_primes=True)
+        assert sieves == [100, 100]
+
 
 class TestBuildDag:
     def test_cluster_edges_at_19(self):
@@ -83,6 +93,10 @@ class TestBuildDag:
         dag = build_dag(3, include_prime_cluster=False)
         assert dag.edges == ((1, 2), (2, 3))
         assert dag.cluster_edges == ()
+
+    def test_edges_built_once(self):
+        dag = build_dag(100)
+        assert dag.edges is dag.edges
 
     def test_cluster_path_visits_the_12_primes(self):
         dag = build_dag(100)

@@ -1,10 +1,11 @@
-"""Eigensolver tests: closed forms, residuals, and an independent LAPACK check."""
+"""Eigensolver tests: closed forms, residuals, a LAPACK check, failures and caps."""
 
 import numpy as np
 import pytest
 
 from patterned import tridiag
-from patterned.errors import ConvergenceError
+from patterned.cli import cli_dispatch
+from patterned.errors import ConvergenceError, ResourceLimitError
 from patterned.tridiag import SymTridiag, eigh_tridiagonal
 
 
@@ -83,8 +84,33 @@ class TestEigh:
         values, _ = eigh_tridiagonal(tri)
         assert np.all(np.diff(values) >= 0)
 
-    def test_convergence_failure_reports_matrix(self, monkeypatch):
-        monkeypatch.setattr(tridiag, "MAX_QL_SWEEPS", 0)
+    def test_convergence_failure_reports_matrix(self, monkeypatch, capsys):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
         tri = SymTridiag(diag=np.array([1.0, 2.0]), offdiag=np.array([0.5]))
         with pytest.raises(ConvergenceError, match="diag="):
             eigh_tridiagonal(tri)
+        assert cli_dispatch(["modes", "--sites", "3"]) == 3
+        assert "diag=" in capsys.readouterr().err
+
+
+class TestSizeCap:
+    def test_cap_raises_before_dense_matrix(self, monkeypatch):
+        def no_dense(self):
+            raise AssertionError("dense matrix built past the cap")
+
+        monkeypatch.setattr(SymTridiag, "to_dense", no_dense)
+        n = tridiag.MAX_DENSE_SITES + 1
+        tri = SymTridiag(diag=np.ones(n), offdiag=np.zeros(n - 1))
+        with pytest.raises(ResourceLimitError, match="sites"):
+            eigh_tridiagonal(tri)
+
+    def test_cap_exits_2_naming_sites(self, monkeypatch, capsys):
+        monkeypatch.setattr(tridiag, "MAX_DENSE_SITES", 10)
+        for command in ("modes", "sweep"):
+            assert cli_dispatch([command, "--sites", "11"]) == 2
+            assert "sites must be <= 10" in capsys.readouterr().err
+        assert cli_dispatch(["modes", "--sites", "10"]) == 0
+        capsys.readouterr()
