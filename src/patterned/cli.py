@@ -5,8 +5,8 @@ prime partitioning, turn words, curve/dragon/tessellation SVGs, DAG export,
 and the walk/spectrum/sweep simulations. Every command accepts ``--config``
 pointing at a JSON file with the same keys as the flags; explicit flags win.
 
-Exit status: 0 on success, 2 on validation or I/O errors, 3 on numerical
-failures.
+Exit status: 0 on success, 2 on validation, I/O or out-of-memory errors,
+3 on numerical failures and failed internal consistency checks.
 """
 
 import argparse
@@ -22,7 +22,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import core, curves, dynamics, graphs, serialize
-from .errors import ConvergenceError
+from .errors import ConvergenceError, InvariantError
 
 # Claimed values for the first hundred integers, reported alongside computed
 # results and never fed into any computation.
@@ -159,12 +159,15 @@ def _parse_motions(value) -> List[curves.RigidMotion]:
         unknown = set(entry) - {"rotation", "reflect", "translation"}
         if unknown:
             raise ValueError(f"placements[{i}] has unknown keys: {sorted(unknown)}")
-        translation = entry.get("translation", (0, 0))
+        translation = entry.get("translation", [0, 0])
+        if not isinstance(translation, list) or list(map(type, translation)) != [int, int]:
+            raise ValueError(f"placements[{i}] translation must be two integers, "
+                             f"got {json.dumps(translation)}")
         motions.append(
             curves.RigidMotion(
                 rotation=entry.get("rotation", 0),
                 reflect=bool(entry.get("reflect", False)),
-                translation=(int(translation[0]), int(translation[1])),
+                translation=tuple(translation),
             )
         )
     return motions
@@ -200,33 +203,22 @@ def _chain_sites(cfg: RunConfig) -> int:
 
 def _cmd_gen(cfg: RunConfig) -> int:
     limit = _require(cfg, "limit")
-    profiles = (core.profile(n) for n in core.patterned_sequence(limit))
+    profiles = core.patterned_profiles(limit)
     fmt = _format(cfg, "csv")
     with _out_stream(cfg.out) as stream:
         if fmt == "csv":
-            serialize.write_csv(
-                stream,
-                serialize.PROFILE_CSV_HEADER,
-                (serialize.profile_row(p) for p in profiles),
-            )
+            rows = map(serialize.profile_row, profiles)
+            serialize.write_csv(stream, serialize.PROFILE_CSV_HEADER, rows)
         else:
-            payload = {
-                "limit": limit,
-                "profiles": [serialize.profile_json(p) for p in profiles],
-            }
-            serialize.write_json(stream, payload)
+            listing = [serialize.profile_json(p) for p in profiles]
+            serialize.write_json(stream, {"limit": limit, "profiles": listing})
     return 0
 
 
 def _cmd_count(cfg: RunConfig) -> int:
     limit = _require(cfg, "limit")
     report = core.count_and_density(limit)
-    payload = {
-        "limit": report.limit,
-        "count": report.count,
-        "density": report.density,
-        "claim": None,
-    }
+    payload = {**dataclasses.asdict(report), "claim": None}
     if limit == 100:
         claim = {
             "count": CLAIMED_COUNT_100,
@@ -264,30 +256,20 @@ def _cmd_primes(cfg: RunConfig) -> int:
 
 def _cmd_turns(cfg: RunConfig) -> int:
     k = _require(cfg, "k")
-    members = core.first_patterned(k)
-    labels = [core.turn(n) for n in members]
+    members = core.scan_members(k=k)
     fmt = _format(cfg, "csv")
     with _out_stream(cfg.out) as stream:
         if fmt == "csv":
-            rows = [(i + 1, n, t) for i, (n, t) in enumerate(zip(members, labels))]
+            rows = zip(range(1, k + 1), members.numbers, members.turns)
             serialize.write_csv(stream, ("index", "n", "turn"), rows)
         else:
-            serialize.write_json(
-                stream, {"k": k, "numbers": members, "turns": labels}
-            )
+            payload = {"k": k, "numbers": members.numbers, "turns": members.turns}
+            serialize.write_json(stream, payload)
     return 0
 
 
 def _curve_stats_payload(curve: curves.LatticeCurve) -> dict:
-    stats = curves.curve_stats(curve)
-    return {
-        "segment_count": stats.segment_count,
-        "unique_edge_count": stats.unique_edge_count,
-        "revisited_vertex_count": stats.revisited_vertex_count,
-        "bounded_region_count": stats.bounded_region_count,
-        "bounding_box": list(stats.bounding_box),
-        "max_turn_run": stats.max_turn_run,
-    }
+    return dataclasses.asdict(curves.curve_stats(curve))
 
 
 def _emit_svg(cfg: RunConfig, svg: str, stats: dict) -> None:
@@ -310,32 +292,17 @@ def _cmd_seahorse_scan(cfg: RunConfig) -> int:
     results = list(curves.scan_turn_words(cfg.max_len))
     with _out_stream(cfg.out) as stream:
         if cfg.all_words:
+            flags = ("max_run_ok", "single_region_ok", "reflection_ok", "is_seahorse")
+            words = [
+                (w, (r.max_turn_run_ok, r.single_region_ok, r.reflection_ok, r.is_seahorse))
+                for w, r in results
+            ]
             if fmt == "csv":
-                rows = [
-                    (w, len(w), r.max_turn_run_ok, r.single_region_ok,
-                     r.reflection_ok, r.is_seahorse)
-                    for w, r in results
-                ]
-                header = ("word", "length", "max_run_ok", "single_region_ok",
-                          "reflection_ok", "is_seahorse")
-                serialize.write_csv(stream, header, rows)
+                rows = [(w, len(w), *values) for w, values in words]
+                serialize.write_csv(stream, ("word", "length") + flags, rows)
             else:
-                serialize.write_json(
-                    stream,
-                    {
-                        "max_len": cfg.max_len,
-                        "words": [
-                            {
-                                "word": w,
-                                "max_run_ok": r.max_turn_run_ok,
-                                "single_region_ok": r.single_region_ok,
-                                "reflection_ok": r.reflection_ok,
-                                "is_seahorse": r.is_seahorse,
-                            }
-                            for w, r in results
-                        ],
-                    },
-                )
+                listing = [{"word": w, **dict(zip(flags, values))} for w, values in words]
+                serialize.write_json(stream, {"max_len": cfg.max_len, "words": listing})
         else:
             words = [w for w, r in results if r.is_seahorse]
             if fmt == "csv":
@@ -393,20 +360,13 @@ def _cmd_walk(cfg: RunConfig) -> int:
     n = _chain_sites(cfg)
     coins = dynamics.CoinSpec(theta_L=cfg.theta_l, theta_R=cfg.theta_r)
     series = dynamics.run_walk(
-        n,
-        cfg.steps,
-        coins=coins,
-        initial_site=cfg.initial_site,
-        initial_coin=cfg.initial_coin,
-        boundary=cfg.boundary,
+        n, cfg.steps, coins=coins, initial_site=cfg.initial_site,
+        initial_coin=cfg.initial_coin, boundary=cfg.boundary,
     )
     header = ("step",) + tuple(f"site_{i}" for i in range(1, n + 1))
+    rows = ((step, *row.tolist()) for step, row in enumerate(series))
     with _out_stream(cfg.out) as stream:
-        serialize.write_csv(
-            stream,
-            header,
-            ((step, *(float(p) for p in row)) for step, row in enumerate(series)),
-        )
+        serialize.write_csv(stream, header, rows)
     return 0
 
 
@@ -425,33 +385,20 @@ def _build_chain(cfg: RunConfig) -> dynamics.OscillatorChain:
 
 def _cmd_modes(cfg: RunConfig) -> int:
     chain = _build_chain(cfg)
-    spectrum = dynamics.eigensystem(
-        dynamics.build_single_excitation_hamiltonian(chain)
-    )
-    rows = (
-        (j + 1, float(spectrum.eigenvalues[j]), float(spectrum.participation_ratios[j]))
-        for j in range(len(spectrum.eigenvalues))
-    )
+    spectrum = dynamics.eigensystem(dynamics.build_single_excitation_hamiltonian(chain))
+    values, ratios = spectrum.eigenvalues.tolist(), spectrum.participation_ratios.tolist()
+    rows = zip(range(1, len(values) + 1), values, ratios)
     with _out_stream(cfg.out) as stream:
-        serialize.write_csv(
-            stream, ("index", "eigenvalue", "participation_ratio"), rows
-        )
+        serialize.write_csv(stream, ("index", "eigenvalue", "participation_ratio"), rows)
     return 0
 
 
 def _cmd_sweep(cfg: RunConfig) -> int:
     chain = _build_chain(cfg)
     points = dynamics.adiabatic_sweep(chain, _parse_s_grid(cfg.s_grid))
-    rows = (
-        (p.s, p.ground_energy, p.spectral_gap, p.ground_participation_ratio)
-        for p in points
-    )
+    header = tuple(f.name for f in dataclasses.fields(dynamics.SweepPoint))
     with _out_stream(cfg.out) as stream:
-        serialize.write_csv(
-            stream,
-            ("s", "ground_energy", "spectral_gap", "ground_participation_ratio"),
-            rows,
-        )
+        serialize.write_csv(stream, header, map(dataclasses.astuple, points))
     return 0
 
 
@@ -572,8 +519,14 @@ def cli_dispatch(argv) -> int:
     except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
     except ConvergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
         return 3
 
 

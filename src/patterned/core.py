@@ -6,14 +6,15 @@ ordered sequence of qualifying numbers, their counting density, a closed-form
 prime characterization, the L/R turn operator driven by the parity of the
 digit-divisor matches, and a per-number site energy.
 
-All functions are pure and operate on exact integers. Two independent
-implementations of the predicate are exposed so tests can cross-check them
-against each other.
+Every caller classifies through one numpy block classifier,
+:func:`classify_block`. Two independent scalar implementations of the
+predicate are kept as oracles that tests check it against.
 """
 
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
+
+import numpy as np
 
 from .errors import InvariantError
 
@@ -22,6 +23,11 @@ MAX_INT = 2**63 - 1
 
 TURN_LEFT = "L"
 TURN_RIGHT = "R"
+
+# Scans classify 1, 2, 3, ... in blocks that start small, so a short scan
+# stays short, and grow to a fixed size, so a long one runs in bounded memory.
+BLOCK_FIRST = 1024
+BLOCK_MAX = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -44,6 +50,14 @@ class DensityReport:
     density: float
 
 
+class Members(NamedTuple):
+    """Qualifying numbers, ascending, with their match counts and turn labels."""
+
+    numbers: List[int]
+    match_counts: List[int]
+    turns: List[str]
+
+
 def _check_positive(n: int, name: str = "n") -> None:
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError(f"{name} must be an integer, got {type(n).__name__}")
@@ -53,20 +67,76 @@ def _check_positive(n: int, name: str = "n") -> None:
         raise ValueError(f"{name} exceeds the supported width (2**63 - 1)")
 
 
-def digit_set(n: int) -> frozenset:
-    """Decimal digits present in n, extracted arithmetically."""
-    _check_positive(n)
-    digits = set()
-    while n:
-        n, r = divmod(n, 10)
-        digits.add(r)
-    return frozenset(digits)
+# Sets of digits are 10-bit masks, bit d standing for the digit d. Whether a
+# digit d divides n depends only on n mod 2520 = lcm(1..9), so one 2520-entry
+# table holds the divisors in 1..9 of every n; bit 0 is never set in it,
+# since nothing is divisible by 0. A second table holds the nonzero digits of
+# each three-digit chunk 0..999. The tables are built in plain Python, which
+# leaves numpy code that the classifier does not run out of memory.
+_DIVISORS = [0] * 2520
+for _d in range(1, 10):
+    for _r in range(0, 2520, _d):
+        _DIVISORS[_r] |= 1 << _d
+_CHUNK_DIGITS = [0]
+for _r in range(1, 1000):
+    _CHUNK_DIGITS.append(_CHUNK_DIGITS[_r // 10] | (1 << _r % 10 if _r % 10 else 0))
+_DIVISOR_MASKS = np.array(_DIVISORS, dtype=np.uint16)
+_CHUNK_MASKS = np.array(_CHUNK_DIGITS, dtype=np.uint16)
+_POPCOUNT = np.array([bin(m).count("1") for m in range(1024)], dtype=np.uint16)
+_LABELS = (TURN_RIGHT, TURN_LEFT)  # indexed by match-count parity
+# The digit sets of the 5-bit halves of a mask, digits 0..4 and 5..9.
+_HALVES = [
+    [frozenset(d + s for d in range(5) if m >> d & 1) for m in range(32)] for s in (0, 5)
+]
+del _DIVISORS, _CHUNK_DIGITS, _d, _r
 
 
-def small_divisor_set(n: int) -> frozenset:
-    """Divisors of n in 1..9, by trial division."""
-    _check_positive(n)
-    return frozenset(d for d in range(1, 10) if n % d == 0)
+def classify_block(numbers: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Nonzero-digit masks and match masks of an int64 array of 1..MAX_INT.
+
+    A number qualifies when its match mask (its digits that divide it) is
+    nonzero; its turn is L when the mask has an odd number of bits, else R.
+    """
+    rest, chunk = np.divmod(numbers, 1000)
+    digits = _CHUNK_MASKS[chunk]
+    while np.count_nonzero(rest):
+        rest, chunk = np.divmod(rest, 1000)
+        digits |= _CHUNK_MASKS[chunk]
+    return digits, digits & _DIVISOR_MASKS[numbers % 2520]
+
+
+def _member_blocks(limit: int) -> Iterator[Tuple[np.ndarray, ...]]:
+    """(numbers, nonzero-digit masks, match masks) of the qualifying n <= limit."""
+    low, size = 1, BLOCK_FIRST
+    while low <= limit:
+        high = min(low + size - 1, limit)
+        numbers = np.arange(low, high + 1, dtype=np.int64)
+        digits, matches = classify_block(numbers)
+        keep = matches != 0
+        yield numbers[keep], digits[keep], matches[keep]
+        low, size = high + 1, min(4 * size, BLOCK_MAX)
+
+
+def _members(numbers: list, matches: np.ndarray) -> Members:
+    counts = _POPCOUNT[matches].tolist()
+    return Members(numbers, counts, [_LABELS[c & 1] for c in counts])
+
+
+def _mask_set(mask: int) -> frozenset:
+    return _HALVES[0][mask & 31] | _HALVES[1][mask >> 5]
+
+
+def _profile(n: int, digits: int, matches: int) -> DigitDivisorProfile:
+    count = bin(matches).count("1")
+    return DigitDivisorProfile(
+        n=n,
+        digits=_mask_set(digits | ("0" in str(n))),  # the masks omit the digit 0
+        small_divisors=_mask_set(int(_DIVISOR_MASKS[n % 2520])),
+        matches=_mask_set(matches),
+        match_count=count,
+        is_patterned=count > 0,
+        turn=_LABELS[count % 2] if count else None,
+    )
 
 
 def profile(n: int) -> DigitDivisorProfile:
@@ -75,23 +145,19 @@ def profile(n: int) -> DigitDivisorProfile:
     The digit 0 can never witness the property (nothing is divisible by 0),
     so matches are always drawn from 1..9.
     """
-    digits = digit_set(n)
-    divisors = small_divisor_set(n)
-    matches = digits & divisors
-    count = len(matches)
-    patterned = count > 0
-    if patterned:
-        turn_label = TURN_LEFT if count % 2 == 1 else TURN_RIGHT
-    else:
-        turn_label = None
-    return DigitDivisorProfile(
-        n=n,
-        digits=digits,
-        small_divisors=divisors,
-        matches=matches,
-        match_count=count,
-        is_patterned=patterned,
-        turn=turn_label,
+    _check_positive(n)
+    digits, matches = classify_block(np.array([n], dtype=np.int64))
+    return _profile(n, int(digits[0]), int(matches[0]))
+
+
+def patterned_profiles(limit: int) -> Iterator[DigitDivisorProfile]:
+    """Profiles of the qualifying n <= limit, ascending; ``limit`` is checked
+    at the call, the profiles are made one block at a time as they are read."""
+    _check_positive(limit, "limit")
+    return (
+        _profile(n, d, m)
+        for block in _member_blocks(limit)
+        for n, d, m in zip(*(column.tolist() for column in block))
     )
 
 
@@ -109,9 +175,9 @@ def is_patterned_digit_first(n: int) -> bool:
 def is_patterned_divisor_first(n: int) -> bool:
     """Predicate via a scan over candidate divisors 1..9 (string digits).
 
-    Deliberately shares no logic with :func:`is_patterned_digit_first`; the
-    two exist so exhaustive cross-checks can treat one as an oracle for the
-    other.
+    Deliberately shares no logic with :func:`is_patterned_digit_first` or the
+    block classifier; the three exist so exhaustive cross-checks can treat
+    one as an oracle for the others.
     """
     _check_positive(n)
     rep = str(n)
@@ -190,29 +256,40 @@ def is_patterned_prime(p: int, assume_prime: bool = False) -> bool:
     return False
 
 
-def iter_patterned() -> Iterator[int]:
-    """Yield the qualifying numbers in increasing order, without bound."""
-    n = 1
-    while n <= MAX_INT:
-        if is_patterned(n):
-            yield n
-        n += 1
+def scan_members(limit: Optional[int] = None, k: Optional[int] = None) -> Members:
+    """The qualifying numbers <= limit or, without a limit, the first k."""
+    if limit is not None:
+        _check_positive(limit, "limit")
+    else:
+        _check_positive(k, "k")
+    numbers, matches, found = [], [], 0
+    for block, _, block_matches in _member_blocks(limit or MAX_INT):
+        numbers.append(block)
+        matches.append(block_matches)
+        found += block.size
+        if limit is None and found >= k:
+            break
+    return _members(np.concatenate(numbers)[:k].tolist(), np.concatenate(matches)[:k])
 
 
 def patterned_sequence(limit: int) -> list:
     """All qualifying n <= limit, ascending."""
-    _check_positive(limit, "limit")
-    return [n for n in range(1, limit + 1) if is_patterned(n)]
+    return scan_members(limit=limit).numbers
+
+
+def turn_sequence(k: int) -> list:
+    """Turn labels of the first k qualifying numbers."""
+    return scan_members(k=k).turns
 
 
 def count_and_density(limit: int) -> DensityReport:
     """Count qualifying numbers <= limit and their density.
 
-    The count is computed with both independent predicate implementations;
-    disagreement is a bug and raises :class:`InvariantError`.
+    The block classifier's count is checked against the scalar divisor-first
+    predicate; disagreement is a bug and raises :class:`InvariantError`.
     """
     _check_positive(limit, "limit")
-    count = sum(1 for n in range(1, limit + 1) if is_patterned_digit_first(n))
+    count = sum(block[0].size for block in _member_blocks(limit))
     check = sum(1 for n in range(1, limit + 1) if is_patterned_divisor_first(n))
     if count != check:
         raise InvariantError(
@@ -230,17 +307,6 @@ def turn(n: int) -> str:
     if not prof.is_patterned:
         raise ValueError(f"turn is undefined for {n}: no digit-divisor match")
     return prof.turn
-
-
-def first_patterned(k: int) -> list:
-    """The first k qualifying numbers, ascending."""
-    _check_positive(k, "k")
-    return list(islice(iter_patterned(), k))
-
-
-def turn_sequence(k: int) -> list:
-    """Turn labels of the first k qualifying numbers."""
-    return [turn(n) for n in first_patterned(k)]
 
 
 def site_energy(
@@ -263,24 +329,29 @@ def site_energies(
     beta: float = 0.5,
     prev_turn: Optional[str] = None,
 ) -> Tuple[List[float], List[str]]:
-    """Site energies and turn labels along qualifying numbers, one profile each.
+    """Site energies and turn labels along qualifying numbers.
 
-    Each member's repeat-penalty context is the turn of the member before it;
-    the first member's is ``prev_turn``.
+    ``members`` is a :class:`Members` scan, or numbers that are classified
+    here as one block. Each member's repeat-penalty context is the turn of
+    the member before it; the first member's is ``prev_turn``.
     """
     if prev_turn not in (None, TURN_LEFT, TURN_RIGHT):
         raise ValueError(f"prev_turn must be 'L', 'R' or None, got {prev_turn!r}")
     for name, value in (("alpha", alpha), ("beta", beta)):
         if not (value == value and abs(value) != float("inf")):
             raise ValueError(f"{name} must be finite, got {value}")
-    energies: List[float] = []
-    turns: List[str] = []
-    for n in members:
-        prof = profile(n)
-        if not prof.is_patterned:
-            raise ValueError(f"site energy is undefined for {n}: no digit-divisor match")
-        repeat = 1.0 if prev_turn == prof.turn else 0.0
-        energies.append(alpha * prof.match_count + beta * repeat)
-        turns.append(prof.turn)
-        prev_turn = prof.turn
-    return energies, turns
+    if not isinstance(members, Members):
+        numbers = list(members)
+        for n in numbers:
+            _check_positive(n)
+        _, matches = classify_block(np.array(numbers, dtype=np.int64))
+        for n, m in zip(numbers, matches.tolist()):
+            if not m:
+                raise ValueError(f"site energy is undefined for {n}: no digit-divisor match")
+        members = _members(numbers, matches)
+    before = [prev_turn] + members.turns[:-1]
+    energies = [
+        alpha * count + beta * (1.0 if prev == label else 0.0)
+        for count, label, prev in zip(members.match_counts, members.turns, before)
+    ]
+    return energies, members.turns

@@ -14,7 +14,6 @@ comes from LAPACK through :func:`tridiag.eigh_tridiagonal`.
 
 import math
 from dataclasses import dataclass, replace
-from itertools import islice
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -22,17 +21,17 @@ import numpy as np
 from .core import (
     TURN_LEFT,
     TURN_RIGHT,
-    first_patterned,
-    iter_patterned,
-    patterned_sequence,
-    profile,
+    scan_members,
     site_energies,
     turn_sequence,
 )
-from .errors import ConvergenceError
+from .errors import ConvergenceError, ResourceLimitError
 from .tridiag import SymTridiag, eigh_tridiagonal
 
 NORM_TOL = 1e-8
+
+# Largest walk: (steps + 1) x sites probabilities, 1 GB like MAX_DENSE_SITES.
+MAX_WALK_CELLS = 125_000_000
 
 BOUNDARY_REFLECTING = "reflecting"
 BOUNDARY_ABSORBING = "absorbing"
@@ -112,28 +111,23 @@ def deterministic_walk(
     arithmetic (heading as a unit in the Gaussian integers), deliberately
     sharing nothing with the turtle tracer it is checked against.
     """
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
     if start_coin not in (TURN_LEFT, TURN_RIGHT):
         raise ValueError(f"start_coin must be 'L' or 'R', got {start_coin!r}")
     position = complex(start[0], start[1])
     heading = 1 + 0j  # east
     vertices = [(start[0], start[1])]
     headings: List[str] = []
-    turns: List[str] = []
-    coin = start_coin
-    for n in islice(iter_patterned(), k):
+    turns = turn_sequence(k)
+    for coin in turns:
         headings.append(_HEADING_OF_UNIT[(int(heading.real), int(heading.imag))])
         position += heading
         vertices.append((int(position.real), int(position.imag)))
-        coin = profile(n).turn
-        turns.append(coin)
         heading *= 1j if coin == TURN_LEFT else -1j
     return DeterministicWalk(
         vertices=tuple(vertices),
         headings=tuple(headings),
         turns=tuple(turns),
-        final_coin=coin,
+        final_coin=turns[-1],
     )
 
 
@@ -160,7 +154,7 @@ def unitary_walk_step(
     n = state.n_positions
     if len(turns) != n:
         raise ValueError(f"need one turn label per position ({n}), got {len(turns)}")
-    if boundary == BOUNDARY_REFLECTING and abs(state.norm() - 1.0) > NORM_TOL:
+    if boundary == BOUNDARY_REFLECTING and not abs(state.norm() - 1.0) <= NORM_TOL:
         raise ValueError(f"state norm {state.norm():.3e} is not 1 within {NORM_TOL:.0e}")
 
     theta = np.array(
@@ -198,6 +192,14 @@ def run_walk(
         raise ValueError(f"sites must be >= 2 for a walk, got {n_positions}")
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
+    if (steps + 1) * n_positions > MAX_WALK_CELLS:
+        raise ResourceLimitError(
+            f"steps must keep (steps + 1) * sites <= {MAX_WALK_CELLS}, got {steps} "
+            f"steps on {n_positions} sites"
+        )
+    for name, theta in (("theta_l", coins.theta_L), ("theta_r", coins.theta_R)):
+        if not math.isfinite(theta):
+            raise ValueError(f"{name} must be finite, got {theta}")
     turns = turn_sequence(n_positions)
     state = localized_state(n_positions, initial_site, initial_coin)
     series = np.empty((steps + 1, n_positions))
@@ -218,7 +220,7 @@ def energy_landscape(limit: int, alpha: float = 1.0, beta: float = 0.5) -> List[
     This is the diagonal Hamiltonian of the sequence: each entry is the
     site energy with the previous site's turn as the repeat-penalty context.
     """
-    return site_energies(patterned_sequence(limit), alpha, beta)[0]
+    return site_energies(scan_members(limit=limit), alpha, beta)[0]
 
 
 @dataclass(frozen=True)
@@ -272,15 +274,15 @@ def patterned_chain(
     """
     if n_sites < 1:
         raise ValueError(f"sites must be >= 1, got {n_sites}")
-    if omega_mode == OMEGA_FROM_ENERGY:
-        energies, labels = site_energies(first_patterned(n_sites), alpha, beta)
-        omegas = tuple(energies)
-    elif omega_mode == OMEGA_CONSTANT:
-        labels = turn_sequence(n_sites)
-        omegas = (float(omega),) * n_sites
-    else:
+    if omega_mode not in (OMEGA_FROM_ENERGY, OMEGA_CONSTANT):
         raise ValueError(f"omega_mode must be 'energy' or 'constant', got {omega_mode!r}")
-    return OscillatorChain(omegas=omegas, g_L=g_L, g_R=g_R, turns=tuple(labels[:-1]), s=s)
+    members = scan_members(k=n_sites)
+    if omega_mode == OMEGA_FROM_ENERGY:
+        omegas = tuple(site_energies(members, alpha, beta)[0])
+    else:
+        omegas = (float(omega),) * n_sites
+    turns = tuple(members.turns[:-1])
+    return OscillatorChain(omegas=omegas, g_L=g_L, g_R=g_R, turns=turns, s=s)
 
 
 def build_single_excitation_hamiltonian(chain: OscillatorChain) -> SymTridiag:
@@ -305,22 +307,29 @@ class Spectrum:
     participation_ratios: np.ndarray
 
 
-def participation_ratio(vector: np.ndarray) -> float:
-    """Inverse participation ratio 1 / sum(v_i^4) of a unit vector.
+def participation_ratios(vectors: np.ndarray) -> np.ndarray:
+    """Inverse participation ratio 1 / sum(v_i^4) of every unit column.
 
-    1 means fully localized on one site, N fully extended.
+    1 means fully localized on one site, N fully extended. Each column is
+    summed as a contiguous row of the transpose, as it would be on its own.
     """
-    v = np.asarray(vector, dtype=float)
-    norm_sq = float(np.sum(v * v))
-    if abs(norm_sq - 1.0) > NORM_TOL:
-        raise ValueError(f"vector norm^2 is {norm_sq:.6f}, expected 1")
-    return float(1.0 / np.sum(v**4))
+    v = np.asarray(vectors, dtype=float)
+    norm_sq = np.ascontiguousarray((v * v).T).sum(axis=1)
+    bad = ~(np.abs(norm_sq - 1.0) <= NORM_TOL)
+    if bad.any():
+        raise ValueError(f"vector norm^2 is {norm_sq[bad][0]:.6f}, expected 1")
+    return 1.0 / np.ascontiguousarray((v**4).T).sum(axis=1)
+
+
+def participation_ratio(vector: np.ndarray) -> float:
+    """Inverse participation ratio of one unit vector."""
+    return float(participation_ratios(np.asarray(vector, dtype=float)[:, None])[0])
 
 
 def eigensystem(matrix: SymTridiag) -> Spectrum:
     """Full eigendecomposition of a symmetric tridiagonal matrix."""
     values, vectors = eigh_tridiagonal(matrix)
-    ratios = np.array([participation_ratio(vectors[:, j]) for j in range(matrix.n)])
+    ratios = participation_ratios(vectors)
     return Spectrum(eigenvalues=values, eigenvectors=vectors, participation_ratios=ratios)
 
 

@@ -10,28 +10,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Tuple
 
-from .core import (
-    is_patterned,
-    is_patterned_prime,
-    is_prime,
-    patterned_sequence,
-    primes_up_to,
-)
+from .core import is_patterned_prime, patterned_sequence, primes_up_to
 from .errors import InvariantError
 
 KIND_PATTERNED_PRIME_SMALL = "patterned_prime_small"
 KIND_PATTERNED_PRIME_DIGIT1 = "patterned_prime_digit1"
 KIND_GAP_PRIME = "gap_prime"
 KIND_PATTERNED_COMPOSITE = "patterned_composite"
-KIND_UNPATTERNED = "unpatterned"
-
-NODE_KINDS = (
-    KIND_PATTERNED_PRIME_SMALL,
-    KIND_PATTERNED_PRIME_DIGIT1,
-    KIND_GAP_PRIME,
-    KIND_PATTERNED_COMPOSITE,
-    KIND_UNPATTERNED,
-)
 
 
 @dataclass(frozen=True)
@@ -53,17 +38,6 @@ class PatternedDag:
     def edges(self) -> Tuple[Tuple[int, int], ...]:
         """Deduplicated union of both edge kinds, ascending."""
         return tuple(sorted(set(self.chain_edges) | set(self.cluster_edges)))
-
-
-def classify(n: int) -> str:
-    """Node kind of n, combining the digit-divisor predicate and primality."""
-    if is_prime(n):
-        if n <= 9:
-            return KIND_PATTERNED_PRIME_SMALL
-        if is_patterned_prime(n, assume_prime=True):
-            return KIND_PATTERNED_PRIME_DIGIT1
-        return KIND_GAP_PRIME
-    return KIND_PATTERNED_COMPOSITE if is_patterned(n) else KIND_UNPATTERNED
 
 
 def partition_primes(limit: int) -> Tuple[List[int], List[int]]:
@@ -101,10 +75,12 @@ def build_dag(
         raise ValueError(f"limit must be an integer >= 2, got {limit!r}")
     members = patterned_sequence(limit)
     pp, gp = partition_primes(limit)
-    ns = set(members)
+    kinds = dict.fromkeys(members, KIND_PATTERNED_COMPOSITE)
+    for p in pp:
+        kinds[p] = KIND_PATTERNED_PRIME_SMALL if p <= 9 else KIND_PATTERNED_PRIME_DIGIT1
     if include_gap_primes:
-        ns.update(gp)
-    nodes = tuple(NodeLabel(n, classify(n)) for n in sorted(ns))
+        kinds.update(dict.fromkeys(gp, KIND_GAP_PRIME))
+    nodes = tuple(NodeLabel(n, kinds[n]) for n in sorted(kinds))
     chain = tuple(zip(members, members[1:])) if include_chain else ()
     cluster = tuple(zip(pp, pp[1:])) if include_prime_cluster else ()
     return PatternedDag(nodes=nodes, chain_edges=chain, cluster_edges=cluster)
@@ -151,17 +127,5 @@ def gap_statistics(limit: int) -> List[Tuple[int, int]]:
     Returns (first integer of the run, run length) pairs. Runs are clipped
     at the limit.
     """
-    if not isinstance(limit, int) or limit < 1:
-        raise ValueError(f"limit must be a positive integer, got {limit!r}")
-    gaps = []
-    start = None
-    for n in range(1, limit + 1):
-        if is_patterned(n):
-            if start is not None:
-                gaps.append((start, n - start))
-                start = None
-        elif start is None:
-            start = n
-    if start is not None:
-        gaps.append((start, limit + 1 - start))
-    return gaps
+    bounds = [0] + patterned_sequence(limit) + [limit + 1]
+    return [(a + 1, b - a - 1) for a, b in zip(bounds, bounds[1:]) if b - a > 1]

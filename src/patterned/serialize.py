@@ -14,7 +14,6 @@ from .graphs import (
     KIND_PATTERNED_COMPOSITE,
     KIND_PATTERNED_PRIME_DIGIT1,
     KIND_PATTERNED_PRIME_SMALL,
-    KIND_UNPATTERNED,
     PatternedDag,
 )
 
@@ -153,7 +152,6 @@ _DOT_NODE_ATTRS = {
     KIND_PATTERNED_PRIME_DIGIT1: 'shape=circle, style=filled, fillcolor=lightblue',
     KIND_GAP_PRIME: 'shape=box, style=dashed',
     KIND_PATTERNED_COMPOSITE: 'shape=ellipse',
-    KIND_UNPATTERNED: 'shape=box',
 }
 
 

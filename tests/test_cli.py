@@ -8,6 +8,7 @@ import pytest
 
 from patterned import core
 from patterned.cli import cli_dispatch
+from patterned.errors import InvariantError
 from patterned.serialize import parse_profile_json, profile_json
 from patterned.core import profile
 
@@ -49,6 +50,15 @@ class TestGen:
         code, _, err = run(capsys, "gen")
         assert code == 2
         assert "limit" in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_bad_limit_creates_no_output_file(self, capsys, tmp_path, fmt):
+        out_file = tmp_path / "gen.out"
+        code, out, err = run(
+            capsys, "gen", "--limit", "0", "--format", fmt, "--out", str(out_file)
+        )
+        assert code == 2 and out == "" and "limit" in err
+        assert not out_file.exists()
 
 
 class TestCount:
@@ -101,11 +111,13 @@ class TestTurns:
         assert lines[12] == "12,12,R"
 
     def test_enumerates_once(self, capsys, monkeypatch):
-        scans = []
-        real = core.iter_patterned
-        monkeypatch.setattr(core, "iter_patterned", lambda: scans.append(1) or real())
+        classified = []
+        real = core.classify_block
+        monkeypatch.setattr(
+            core, "classify_block", lambda a: classified.extend(a.tolist()) or real(a)
+        )
         code, out, _ = run(capsys, "turns", "--k", "12", "--format", "json")
-        assert code == 0 and len(scans) == 1
+        assert code == 0 and classified == list(range(1, len(classified) + 1))
         assert json.loads(out)["turns"] == ["L"] * 11 + ["R"]
 
 
@@ -214,6 +226,20 @@ class TestTessellate:
         assert code == 2
         assert "unknown keys" in err
 
+    @pytest.mark.parametrize(
+        "translation", ["[1]", "[1.5, 2]", "[true, 2]", "[1, 2, 3]", '"12"', "7"]
+    )
+    def test_translation_must_be_two_integers(self, capsys, tmp_path, translation):
+        out_file = tmp_path / "tess.svg"
+        placements = f'[{{"rotation": 0}}, {{"translation": {translation}}}]'
+        code, out, err = run(
+            capsys, "tessellate", "--word", "RRRR",
+            "--placements", placements, "--out", str(out_file),
+        )
+        assert code == 2 and out == ""
+        assert "placements[1] translation must be two integers" in err
+        assert not out_file.exists()
+
 
 class TestDag:
     def test_contains_cluster_edge(self, capsys):
@@ -257,6 +283,18 @@ class TestWalk:
         code, _, err = run(capsys, "walk", "--steps", "1")
         assert code == 2
         assert "sites or limit" in err
+
+    @pytest.mark.parametrize("flag", ["--theta-l", "--theta-r"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_coin_angle_names_the_flag(self, capsys, flag, value):
+        code, out, err = run(capsys, "walk", "--sites", "5", "--steps", "3", f"{flag}={value}")
+        assert code == 2 and out == ""
+        assert f"{flag[2:].replace('-', '_')} must be finite" in err
+
+    def test_oversized_walk_names_steps(self, capsys):
+        code, out, err = run(capsys, "walk", "--sites", "100", "--steps", "1000000000000")
+        assert code == 2 and out == ""
+        assert err.startswith("error: steps must keep ") and err.count("\n") == 1
 
 
 class TestModes:
@@ -392,6 +430,23 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert cli_dispatch(["--help"]) == 0
         capsys.readouterr()
+
+    def test_invariant_error_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(core, "is_patterned_divisor_first", lambda n: n != 13)
+        with pytest.raises(InvariantError):
+            core.count_and_density(20)
+        code, out, err = run(capsys, "count", "--limit", "20")
+        assert code == 3 and out == ""
+        assert err == "internal error: predicate implementations disagree at limit 20: 20 vs 19\n"
+
+    def test_memory_error_exits_2(self, capsys, monkeypatch):
+        def exhausted(limit):
+            raise MemoryError("Unable to allocate 8.00 EiB")
+
+        monkeypatch.setattr(core, "count_and_density", exhausted)
+        code, out, err = run(capsys, "count", "--limit", "20")
+        assert code == 2 and out == ""
+        assert err == "error: out of memory: Unable to allocate 8.00 EiB\n"
 
     def test_unwritable_path(self, capsys):
         code, _, _ = run(capsys, "gen", "--limit", "5", "--out", "/nonexistent/dir/x.csv")

@@ -4,10 +4,13 @@ Expected values here were frozen from independent brute-force scans (naive
 string-digit trial division), not from the implementation under test.
 """
 
+import numpy as np
 import pytest
 
 from patterned import core
 from patterned.core import (
+    MAX_INT,
+    classify_block,
     count_and_density,
     is_patterned,
     is_patterned_digit_first,
@@ -18,6 +21,7 @@ from patterned.core import (
     patterned_sequence,
     primes_up_to,
     profile,
+    scan_members,
     site_energies,
     site_energy,
     turn,
@@ -72,6 +76,13 @@ class TestProfile:
     def test_rejects_non_integer(self):
         with pytest.raises(ValueError):
             profile(3.0)
+
+    @pytest.mark.parametrize("bad", [1.5, True, 0, -7, 2**63])
+    def test_rejects_values_an_int64_array_would_convert(self, bad):
+        with pytest.raises(ValueError):
+            profile(bad)
+        with pytest.raises(ValueError):
+            site_energies([1, bad])
 
 
 class TestPredicate:
@@ -164,10 +175,11 @@ class TestSequence:
         seq = patterned_sequence(500)
         assert all(a < b for a, b in zip(seq, seq[1:]))
 
-    def test_iter_patterned_prefix(self):
-        from itertools import islice
-
-        assert list(islice(core.iter_patterned(), 12)) == patterned_sequence(12)
+    def test_first_k_prefix(self):
+        for k in (1, 12, 69, 733, 734, 2000):
+            first = scan_members(k=k)
+            assert len(first.numbers) == k
+            assert first.numbers == patterned_sequence(first.numbers[-1])
 
 
 class TestCountAndDensity:
@@ -267,14 +279,79 @@ class TestSiteEnergies:
             prev = label
 
     def test_one_profile_per_member(self, monkeypatch):
-        calls = []
-        real = core.profile
-        monkeypatch.setattr(core, "profile", lambda n: calls.append(n) or real(n))
-        site_energies(patterned_sequence(100))
-        assert calls == patterned_sequence(100)
+        members = patterned_sequence(100)
+        blocks = []
+        real = core.classify_block
+        monkeypatch.setattr(core, "classify_block", lambda a: blocks.append(a.tolist()) or real(a))
+        site_energies(members)
+        assert blocks == [members]
 
     def test_rejects_non_patterned_and_non_finite(self):
         with pytest.raises(ValueError):
             site_energies([1, 23])
         with pytest.raises(ValueError):
             site_energies([1], alpha=float("nan"))
+
+
+def oracle_match_count(n):
+    return sum(1 for c in set(str(n)) if c != "0" and n % int(c) == 0)
+
+
+def block_boundaries(limit):
+    """First numbers of the scan's blocks after the first, up to limit."""
+    low, size, bounds = 1, core.BLOCK_FIRST, []
+    while low + size <= limit:
+        low, size = low + size, min(4 * size, core.BLOCK_MAX)
+        bounds.append(low)
+    return bounds
+
+
+class TestBlockClassifier:
+    def test_agrees_with_both_oracles_to_1e6(self):
+        members = set(patterned_sequence(10**6))
+        for n in range(1, 10**6 + 1):
+            expected = n in members
+            assert is_patterned_digit_first(n) == expected
+            assert is_patterned_divisor_first(n) == expected
+
+    def test_match_counts_and_turns_against_string_oracle(self):
+        numbers = np.arange(1, 30001, dtype=np.int64)
+        _, matches = classify_block(numbers)
+        for n, mask in zip(numbers.tolist(), matches.tolist()):
+            assert bin(mask).count("1") == oracle_match_count(n)
+        first = scan_members(k=5000)
+        assert first.match_counts == [oracle_match_count(n) for n in first.numbers]
+        assert first.turns == ["L" if c % 2 else "R" for c in first.match_counts]
+
+    def test_windows_around_block_boundaries(self):
+        members = set(patterned_sequence(10**6))
+        bounds = block_boundaries(10**6)
+        assert len(bounds) > 50
+        for b in bounds:
+            assert all((n in members) == oracle_patterned(n) for n in range(b - 5, b + 6))
+        for b in bounds[:4]:
+            for limit in (b - 1, b, b + 1):
+                tail = [n for n in range(limit - 40, limit + 1) if oracle_patterned(n)]
+                assert patterned_sequence(limit)[-len(tail):] == tail
+        for k in (733, 734, 735):  # 733 qualifying numbers fill the first block
+            assert scan_members(k=k).numbers[-1] == patterned_sequence(2000)[k - 1]
+
+    def test_digit_chunk_windows_up_to_the_largest_int(self):
+        windows = [np.arange(10**j - 3, 10**j + 4) for j in range(1, 19)]
+        windows.append(np.arange(MAX_INT - 20, MAX_INT + 1, dtype=np.int64))
+        numbers = np.concatenate(windows).astype(np.int64)
+        digits, matches = classify_block(numbers)
+        for n, d, m in zip(numbers.tolist(), digits.tolist(), matches.tolist()):
+            p = profile(n)
+            assert d == sum(1 << int(c) for c in set(str(n)) - {"0"})
+            assert p.digits == {int(c) for c in str(n)}
+            assert (m != 0) == is_patterned_digit_first(n) == is_patterned_divisor_first(n)
+            assert bin(m).count("1") == oracle_match_count(n) == p.match_count
+        assert profile(MAX_INT).matches == frozenset({7})
+
+    def test_count_cross_check_raises_on_disagreement(self, monkeypatch):
+        from patterned.errors import InvariantError
+
+        monkeypatch.setattr(core, "is_patterned_divisor_first", lambda n: n != 13)
+        with pytest.raises(InvariantError, match="disagree at limit 20"):
+            count_and_density(20)

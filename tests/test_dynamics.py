@@ -8,11 +8,12 @@ matrix-vector products against the vectorized implementation.
 import numpy as np
 import pytest
 
-from patterned import core
+from patterned import core, dynamics
 from patterned.core import patterned_sequence, turn_sequence
 from patterned.curves import trace
 from patterned.dynamics import (
     BOUNDARY_ABSORBING,
+    MAX_WALK_CELLS,
     CoinSpec,
     OscillatorChain,
     WalkState,
@@ -23,11 +24,13 @@ from patterned.dynamics import (
     energy_landscape,
     localized_state,
     participation_ratio,
+    participation_ratios,
     patterned_chain,
     run_walk,
     unitary_walk_step,
 )
-from patterned.tridiag import SymTridiag
+from patterned.errors import ResourceLimitError
+from patterned.tridiag import SymTridiag, eigh_tridiagonal
 
 
 def step_matrix(n, theta_by_site):
@@ -163,6 +166,12 @@ class TestUnitaryStep:
         with pytest.raises(ValueError):
             unitary_walk_step(state, CoinSpec(), turn_sequence(3))
 
+    def test_rejects_nan_state(self):
+        amp = np.zeros((3, 2), dtype=complex)
+        amp[0, 0] = np.nan
+        with pytest.raises(ValueError, match="norm"):
+            unitary_walk_step(WalkState(amplitudes=amp), CoinSpec(), turn_sequence(3))
+
     def test_absorbing_boundary_decays(self):
         state = localized_state(3, 1, "L")
         out = unitary_walk_step(
@@ -203,6 +212,33 @@ class TestRunWalk:
         with pytest.raises(ValueError):
             run_walk(1, 5)
 
+    @pytest.mark.parametrize("coins, name", [
+        (CoinSpec(theta_L=float("nan")), "theta_l"),
+        (CoinSpec(theta_R=float("inf")), "theta_r"),
+        (CoinSpec(theta_L=float("-inf")), "theta_l"),
+    ])
+    def test_rejects_non_finite_coin_angles(self, coins, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            run_walk(5, 1, coins=coins)
+
+    def test_steps_times_sites_capped_before_allocation(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("the cap must be checked before any work")
+
+        monkeypatch.setattr(dynamics, "turn_sequence", no_work)
+        monkeypatch.setattr(dynamics.np, "empty", no_work)
+        with pytest.raises(ResourceLimitError, match="steps must keep"):
+            run_walk(100, 10**12)
+        with pytest.raises(ResourceLimitError):
+            run_walk(1000, MAX_WALK_CELLS // 1000)
+
+    def test_largest_walk_under_the_cap_is_accepted(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(dynamics, "turn_sequence", lambda n: calls.append(n) or 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            run_walk(1000, MAX_WALK_CELLS // 1000 - 1)
+        assert calls == [1000]
+
 
 class TestEnergyLandscape:
     def test_zero_weights(self):
@@ -239,12 +275,17 @@ class TestOscillatorChain:
         assert chain.turns == tuple(turn_sequence(11))
 
     def test_patterned_chain_one_profile_per_site(self, monkeypatch):
-        calls = []
-        real = core.profile
-        monkeypatch.setattr(core, "profile", lambda n: calls.append(n) or real(n))
+        sites = patterned_sequence(100)[:40]
+        labels = tuple(turn_sequence(39))
+        classified = []
+        real = core.classify_block
+        monkeypatch.setattr(
+            core, "classify_block", lambda a: classified.extend(a.tolist()) or real(a)
+        )
         chain = patterned_chain(40, g_L=1.0, g_R=0.5)
-        assert calls == patterned_sequence(100)[:40]
-        assert chain.turns == tuple(turn_sequence(39))
+        assert classified == list(range(1, len(classified) + 1))
+        assert set(sites) <= set(classified)
+        assert chain.turns == labels
 
     def test_patterned_chain_constant_omegas(self):
         chain = patterned_chain(5, g_L=1.0, g_R=1.0, omega_mode="constant", omega=2.5)
@@ -303,6 +344,21 @@ class TestParticipationRatio:
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError):
             participation_ratio(np.array([1.0, 1.0]))
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError):
+            participation_ratio(np.array([np.nan, 1.0]))
+        with pytest.raises(ValueError):
+            participation_ratios(np.array([[1.0, np.nan], [0.0, 0.0]]))
+
+    def test_columns_bit_identical_to_one_at_a_time(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 7, 60, 301):
+            matrix = SymTridiag(diag=rng.normal(size=n), offdiag=rng.normal(size=n - 1))
+            _, vectors = eigh_tridiagonal(matrix)
+            one_at_a_time = [1.0 / np.sum(vectors[:, j] ** 4) for j in range(n)]
+            assert participation_ratios(vectors).tolist() == one_at_a_time
+            assert [participation_ratio(vectors[:, j]) for j in range(n)] == one_at_a_time
 
 
 class TestSweep:

@@ -3,18 +3,21 @@
 import pytest
 
 from patterned import graphs
-from patterned.core import is_prime, patterned_sequence, primes_up_to
+from patterned.core import (
+    is_patterned_divisor_first,
+    is_prime,
+    patterned_sequence,
+    primes_up_to,
+)
 from patterned.errors import InvariantError
 from patterned.graphs import (
     KIND_GAP_PRIME,
     KIND_PATTERNED_COMPOSITE,
     KIND_PATTERNED_PRIME_DIGIT1,
     KIND_PATTERNED_PRIME_SMALL,
-    KIND_UNPATTERNED,
     NodeLabel,
     PatternedDag,
     build_dag,
-    classify,
     gap_primes,
     gap_statistics,
     partition_primes,
@@ -25,8 +28,18 @@ from patterned.graphs import (
 PATTERNED_PRIMES_100 = [2, 3, 5, 7, 11, 13, 17, 19, 31, 41, 61, 71]
 GAP_PRIMES_100 = [23, 29, 37, 43, 47, 53, 59, 67, 73, 79, 83, 89, 97]
 
+# Stands for "not a node": a number that does not qualify and is not a gap
+# prime is absent from every DAG.
+ABSENT = "unpatterned"
+
+
+def node_kinds(limit):
+    return {lbl.n: lbl.kind for lbl in build_dag(limit, include_gap_primes=True).nodes}
+
 
 class TestClassify:
+    """Node kinds, which build_dag takes from the sieve and the member list."""
+
     @pytest.mark.parametrize(
         "n,kind",
         [
@@ -38,28 +51,30 @@ class TestClassify:
             (97, KIND_GAP_PRIME),
             (1, KIND_PATTERNED_COMPOSITE),
             (12, KIND_PATTERNED_COMPOSITE),
-            (27, KIND_UNPATTERNED),
-            (370, KIND_UNPATTERNED),
+            (27, ABSENT),
+            (370, ABSENT),
         ],
     )
     def test_kinds(self, n, kind):
-        assert classify(n) == kind
+        assert node_kinds(400).get(n, ABSENT) == kind
 
     def test_label_soundness_to_1e5(self):
-        from patterned.core import is_patterned
-
         primes = set(primes_up_to(100000))
+        kinds = node_kinds(100000)
         for n in range(1, 100001):
-            kind = classify(n)
+            kind = kinds.get(n, ABSENT)
+            patterned = is_patterned_divisor_first(n)
             assert (n in primes) == is_prime(n)
-            if kind in (KIND_PATTERNED_PRIME_SMALL, KIND_PATTERNED_PRIME_DIGIT1):
-                assert n in primes and is_patterned(n)
+            if kind == KIND_PATTERNED_PRIME_SMALL:
+                assert n in primes and patterned and n <= 9
+            elif kind == KIND_PATTERNED_PRIME_DIGIT1:
+                assert n in primes and patterned and n > 9 and "1" in str(n)
             elif kind == KIND_GAP_PRIME:
-                assert n in primes and not is_patterned(n)
+                assert n in primes and not patterned
             elif kind == KIND_PATTERNED_COMPOSITE:
-                assert n not in primes and is_patterned(n)
+                assert n not in primes and patterned
             else:
-                assert n not in primes and not is_patterned(n)
+                assert kind == ABSENT and n not in primes and not patterned
 
 
 class TestPrimePartition:
@@ -134,7 +149,10 @@ class TestTopologicalSort:
 
     def test_descending_edge_rejected(self):
         dag = PatternedDag(
-            nodes=(NodeLabel(3, classify(3)), NodeLabel(5, classify(5))),
+            nodes=(
+                NodeLabel(3, KIND_PATTERNED_PRIME_SMALL),
+                NodeLabel(5, KIND_PATTERNED_PRIME_SMALL),
+            ),
             chain_edges=((5, 3),),
             cluster_edges=(),
         )
@@ -143,7 +161,7 @@ class TestTopologicalSort:
 
     def test_missing_endpoint_rejected(self):
         dag = PatternedDag(
-            nodes=(NodeLabel(3, classify(3)),),
+            nodes=(NodeLabel(3, KIND_PATTERNED_PRIME_SMALL),),
             chain_edges=((3, 5),),
             cluster_edges=(),
         )
