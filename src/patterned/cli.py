@@ -13,9 +13,10 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 import typing
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -112,11 +113,22 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 @contextmanager
 def _out_stream(path: Optional[str]):
+    """Stdout, or a new file beside ``path`` that replaces it once the command
+    has written everything: a failure leaves any earlier file as it was."""
     if path is None:
         yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        return
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+    try:
+        with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
             yield fh
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with suppress(OSError):
+            os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:  # name the requested path
+            raise type(exc)(exc.errno, exc.strerror, path) from None
+        raise
 
 
 def _require(cfg: RunConfig, name: str):
@@ -289,30 +301,24 @@ def _cmd_curve(cfg: RunConfig) -> int:
 
 def _cmd_seahorse_scan(cfg: RunConfig) -> int:
     fmt = _format(cfg, "csv")
-    results = list(curves.scan_turn_words(cfg.max_len))
+    header = ("word", "length")
+    if cfg.all_words:
+        header += ("max_run_ok", "single_region_ok", "reflection_ok", "is_seahorse")
+        rows = (
+            (w, len(w), r.max_turn_run_ok, r.single_region_ok, r.reflection_ok, r.is_seahorse)
+            for w, r in curves.scan_turn_words(cfg.max_len)
+        )
+    else:
+        words = curves.seahorse_words(cfg.max_len)
+        rows = ((w, len(w)) for w in words)
     with _out_stream(cfg.out) as stream:
-        if cfg.all_words:
-            flags = ("max_run_ok", "single_region_ok", "reflection_ok", "is_seahorse")
-            words = [
-                (w, (r.max_turn_run_ok, r.single_region_ok, r.reflection_ok, r.is_seahorse))
-                for w, r in results
-            ]
-            if fmt == "csv":
-                rows = [(w, len(w), *values) for w, values in words]
-                serialize.write_csv(stream, ("word", "length") + flags, rows)
-            else:
-                listing = [{"word": w, **dict(zip(flags, values))} for w, values in words]
-                serialize.write_json(stream, {"max_len": cfg.max_len, "words": listing})
+        if fmt == "csv":
+            serialize.write_csv(stream, header, rows)
+        elif cfg.all_words:
+            listing = [{"word": w, **dict(zip(header[2:], flags))} for w, _, *flags in rows]
+            serialize.write_json(stream, {"max_len": cfg.max_len, "words": listing})
         else:
-            words = [w for w, r in results if r.is_seahorse]
-            if fmt == "csv":
-                serialize.write_csv(
-                    stream, ("word", "length"), [(w, len(w)) for w in words]
-                )
-            else:
-                serialize.write_json(
-                    stream, {"max_len": cfg.max_len, "seahorses": words}
-                )
+            serialize.write_json(stream, {"max_len": cfg.max_len, "seahorses": words})
     return 0
 
 

@@ -10,7 +10,7 @@ and tessellations built from rigid-motion copies.
 from collections import deque
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterable, List, Tuple
 
 from .core import TURN_LEFT, TURN_RIGHT
 from .errors import ResourceLimitError
@@ -394,20 +394,21 @@ def iterate_dragon(
     """
     if not isinstance(generations, int) or generations < 0:
         raise ValueError(f"generations must be a non-negative integer, got {generations!r}")
-    current = curve
+    if generations == 0:
+        return curve
+    vertices = list(curve.vertices)
     for _ in range(generations):
-        if 2 * current.segment_count > max_edges:
+        if 2 * (len(vertices) - 1) > max_edges:
             raise ResourceLimitError(
-                f"doubling past {current.segment_count} segments exceeds the "
+                f"doubling past {len(vertices) - 1} segments exceeds the "
                 f"cap of {max_edges} edges"
             )
-        rotated = [_rotate_point_ccw(v, 1) for v in current.vertices]
-        ex, ey = current.end
-        vx, vy = ex - rotated[0][0], ey - rotated[0][1]
-        merged = list(current.vertices)
-        merged.extend((x + vx, y + vy) for x, y in rotated[1:])
-        current = curve_from_vertices(merged)
-    return current
+        # (x, y) turned a quarter counterclockwise is (-y, x); the shift puts
+        # the turned start on the current end
+        (sx, sy), (ex, ey) = vertices[0], vertices[-1]
+        vx, vy = ex + sy, ey - sx
+        vertices.extend([(vx - y, vy + x) for x, y in vertices[1:]])
+    return curve_from_vertices(vertices)
 
 
 @dataclass(frozen=True)
@@ -479,8 +480,12 @@ def _reflections_sending(s: Point, e: Point):
         yield lambda p: (p[1] - c, p[0] + c)
 
 
-def _edge_set_symmetric(edge_set: frozenset, reflection) -> bool:
-    return edge_set == {_norm_edge(reflection(a), reflection(b)) for a, b in edge_set}
+def _head_tail_symmetric(edge_set, start: Point, end: Point) -> bool:
+    """Whether a lattice reflection sending start to end maps the edge set onto itself."""
+    return any(
+        edge_set == {_norm_edge(refl(a), refl(b)) for a, b in edge_set}
+        for refl in _reflections_sending(start, end)
+    )
 
 
 def is_seahorse(curve: LatticeCurve) -> SeahorseReport:
@@ -494,28 +499,92 @@ def is_seahorse(curve: LatticeCurve) -> SeahorseReport:
     if not curve.source_turns:
         raise ValueError("seahorse classification needs a curve traced from a turn word")
     stats = curve_stats(curve)
-    edge_set = curve.edge_set()
-    reflection_ok = any(
-        _edge_set_symmetric(edge_set, refl)
-        for refl in _reflections_sending(curve.start, curve.end)
-    )
     return SeahorseReport(
         max_turn_run_ok=stats.max_turn_run <= 2,
         single_region_ok=stats.bounded_region_count == 1,
-        reflection_ok=reflection_ok,
+        reflection_ok=_head_tail_symmetric(curve.edge_set(), curve.start, curve.end),
     )
 
 
-def scan_turn_words(max_len: int) -> Iterator[Tuple[str, SeahorseReport]]:
-    """Classify every turn word of length 1..max_len (2^(max_len+1) - 2 words)."""
+# Longest words the scans accept, checked before any work: the pruned walk
+# takes about 12 s at 30; --all-words lists 2^(max_len+1) - 2 words.
+MAX_SEAHORSE_LEN = 30
+MAX_ALL_WORDS_LEN = 20
+
+_STEPS = tuple(HEADING_VECTORS[h] for h in HEADINGS)  # a left turn adds 1 to the index
+
+
+def _check_max_len(max_len: int, cap: int) -> None:
     if not isinstance(max_len, int) or max_len < 1:
         raise ValueError(f"max_len must be a positive integer, got {max_len!r}")
-    for k in range(1, max_len + 1):
-        for letters in product((TURN_LEFT, TURN_RIGHT), repeat=k):
-            word = "".join(letters)
-            yield word, is_seahorse(trace(letters))
+    if max_len > cap:
+        raise ResourceLimitError(f"max_len {max_len} exceeds the cap of {cap}")
+
+
+def _walk_turn_words(max_len: int, prune: bool):
+    """Depth-first walk over turn words of length 1..max_len, traced as by ``trace``.
+
+    A word's last turn only sets its exit heading, so p+L and p+R share one
+    curve. Once per prefix p (alphabetical within each length) this yields
+    ``(p, regions, end, edges, (ok_L, ok_R))``: that curve's bounded-region
+    count, last vertex and live edge set, and whether p+c has no run of three.
+    On a connected path a step adds a face exactly when it adds a new edge
+    ending on a visited vertex, so the count costs O(1) per step. ``prune``
+    drops words with a run of three or more than one region; neither rule
+    is ever undone by extending a word.
+    """
+    visited = {(0, 0)}
+    edges = set()
+    added = []  # per depth: the edge and vertex that step added, or None
+    stack = [("", 0, 0, 0, 0, True)]  # prefix, x, y, heading, regions, no triple run
+    while stack:
+        prefix, x, y, heading, regions, clean = stack.pop()
+        while len(added) > len(prefix):
+            edge, vertex = added.pop()
+            edges.discard(edge)
+            visited.discard(vertex)
+        dx, dy = _STEPS[heading]
+        end = (x + dx, y + dy)
+        edge = _norm_edge((x, y), end)
+        new_edge, new_vertex = edge not in edges, end not in visited
+        if new_edge:
+            edges.add(edge)
+            regions += not new_vertex
+        if new_vertex:
+            visited.add(end)
+        added.append((edge if new_edge else None, end if new_vertex else None))
+        if prune and regions > 1:
+            continue
+        oks = (clean and not prefix.endswith("LL"), clean and not prefix.endswith("RR"))
+        yield prefix, regions, end, edges, oks
+        if len(prefix) + 1 < max_len:
+            for c, turn, ok in (("R", 3, oks[1]), ("L", 1, oks[0])):  # L is popped first
+                if ok or not prune:
+                    stack.append((prefix + c, *end, (heading + turn) % 4, regions, ok))
+
+
+def scan_turn_words(max_len: int) -> List[Tuple[str, SeahorseReport]]:
+    """Classify every turn word of length 1..max_len (2^(max_len+1) - 2 words),
+    listed by length, then alphabetically."""
+    _check_max_len(max_len, MAX_ALL_WORDS_LEN)
+    by_length = [[] for _ in range(max_len + 1)]
+    # eight shared reports, not one per row: the listing can hold millions of rows
+    report = {flags: SeahorseReport(*flags) for flags in product((False, True), repeat=3)}
+    for prefix, regions, end, edges, oks in _walk_turn_words(max_len, prune=False):
+        symmetric = _head_tail_symmetric(edges, (0, 0), end)
+        by_length[len(prefix) + 1].extend(
+            (prefix + c, report[ok, regions == 1, symmetric]) for c, ok in zip("LR", oks)
+        )
+    return [row for rows in by_length for row in rows]
 
 
 def seahorse_words(max_len: int) -> List[str]:
-    """Turn words of length <= max_len whose curves satisfy all three conditions."""
-    return [word for word, report in scan_turn_words(max_len) if report.is_seahorse]
+    """Turn words of length <= max_len whose curves satisfy all three conditions,
+    listed by length, then alphabetically; found by the pruned walk, which
+    tests the reflection only on curves with exactly one region."""
+    _check_max_len(max_len, MAX_SEAHORSE_LEN)
+    by_length = [[] for _ in range(max_len + 1)]
+    for prefix, regions, end, edges, oks in _walk_turn_words(max_len, prune=True):
+        if regions == 1 and _head_tail_symmetric(edges, (0, 0), end):
+            by_length[len(prefix) + 1].extend(prefix + c for c, ok in zip("LR", oks) if ok)
+    return [word for words in by_length for word in words]

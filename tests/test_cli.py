@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from patterned import core
+from patterned import core, curves, serialize
 from patterned.cli import cli_dispatch
 from patterned.errors import InvariantError
 from patterned.serialize import parse_profile_json, profile_json
@@ -168,6 +168,35 @@ class TestSeahorseScan:
         )
         assert len(lines) == 1 + (2**6 - 2)  # all words of length 1..5
         assert all(line.endswith("false") for line in lines[1:])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--max-len", "0"),
+            ("--max-len", "-2", "--all-words"),
+            ("--max-len", str(curves.MAX_SEAHORSE_LEN + 1)),
+            ("--max-len", str(curves.MAX_ALL_WORDS_LEN + 1), "--all-words"),
+            ("--max-len", "40"),
+        ],
+    )
+    def test_bad_or_oversized_max_len_names_the_flag(self, capsys, monkeypatch, tmp_path, argv):
+        def no_walk(*args):
+            raise AssertionError("walked past the cap")
+
+        monkeypatch.setattr(curves, "_walk_turn_words", no_walk)
+        out_file = tmp_path / "scan.csv"
+        code, out, err = run(capsys, "seahorse-scan", *argv, "--out", str(out_file))
+        assert code == 2 and out == ""
+        assert err.startswith("error: max_len ")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("all_words", [(), ("--all-words",)])
+    def test_cap_is_inclusive(self, capsys, monkeypatch, all_words):
+        monkeypatch.setattr(curves, "MAX_SEAHORSE_LEN", 4)
+        monkeypatch.setattr(curves, "MAX_ALL_WORDS_LEN", 4)
+        assert run(capsys, "seahorse-scan", "--max-len", "4", *all_words)[0] == 0
+        code, _, err = run(capsys, "seahorse-scan", "--max-len", "5", *all_words)
+        assert code == 2 and err == "error: max_len 5 exceeds the cap of 4\n"
 
 
 class TestDragon:
@@ -449,5 +478,38 @@ class TestExitCodes:
         assert err == "error: out of memory: Unable to allocate 8.00 EiB\n"
 
     def test_unwritable_path(self, capsys):
-        code, _, _ = run(capsys, "gen", "--limit", "5", "--out", "/nonexistent/dir/x.csv")
+        code, _, err = run(capsys, "gen", "--limit", "5", "--out", "/nonexistent/dir/x.csv")
         assert code == 2
+        assert err == "error: [Errno 2] No such file or directory: '/nonexistent/dir/x.csv'\n"
+
+
+class TestAtomicOut:
+    @staticmethod
+    def fail_after_header(stream, header, rows):
+        stream.write(",".join(header) + "\n")
+        raise OSError(28, "No space left on device")
+
+    def test_failed_write_leaves_no_file(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(serialize, "write_csv", self.fail_after_header)
+        out_file = tmp_path / "gen.csv"
+        code, out, err = run(capsys, "gen", "--limit", "50", "--out", str(out_file))
+        assert code == 2 and out == ""
+        assert err == "error: [Errno 28] No space left on device\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_keeps_earlier_file(self, capsys, monkeypatch, tmp_path):
+        out_file = tmp_path / "turns.csv"
+        assert run(capsys, "turns", "--k", "30", "--out", str(out_file))[0] == 0
+        before = out_file.read_bytes()
+        monkeypatch.setattr(serialize, "write_csv", self.fail_after_header)
+        code, _, _ = run(capsys, "turns", "--k", "40", "--out", str(out_file))
+        assert code == 2
+        assert out_file.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [out_file]
+
+    def test_success_replaces_earlier_file(self, capsys, tmp_path):
+        out_file = tmp_path / "turns.csv"
+        out_file.write_text("stale contents that are longer than the new file\n" * 40)
+        assert run(capsys, "turns", "--k", "3", "--out", str(out_file))[0] == 0
+        assert out_file.read_text() == "index,n,turn\n1,1,L\n2,2,L\n3,3,L\n"
+        assert list(tmp_path.iterdir()) == [out_file]

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from patterned import curves
 from patterned.curves import (
     LatticeCurve,
     RigidMotion,
@@ -18,6 +19,7 @@ from patterned.curves import (
     iterate_dragon,
     max_run_length,
     region_count_flood,
+    scan_turn_words,
     seahorse_words,
     tessellate,
     trace,
@@ -25,6 +27,7 @@ from patterned.curves import (
 from patterned.errors import ResourceLimitError
 
 GOLDEN = Path(__file__).parent / "goldens" / "seahorse_words_k12.txt"
+GOLDEN_K24 = Path(__file__).parent / "goldens" / "seahorse_words_k24.txt"
 
 
 class TestTrace:
@@ -205,6 +208,77 @@ class TestSeahorse:
         assert seahorse_words(11) == []
 
 
+def _words(max_len):
+    return ["".join(w) for k in range(1, max_len + 1) for w in product("LR", repeat=k)]
+
+
+def _no_triple_run_words(max_len):
+    """Words of length <= max_len with no run of three equal turns, pruned only
+    by that rule, listed by length, then alphabetically."""
+    found, level = [], ["L", "R"]
+    while level and len(level[0]) <= max_len:
+        found += level
+        level = [w + c for w in level for c in "LR" if not w.endswith(c * 2)]
+    return found
+
+
+def _survivors(max_len):
+    """Per length, the words the pruned walk keeps: no run of three, at most one region."""
+    counts = [0] * max_len
+    for prefix, _, _, _, oks in curves._walk_turn_words(max_len, prune=True):
+        counts[len(prefix)] += sum(oks)
+    return counts
+
+
+class TestSeahorseScan:
+    def test_all_words_match_the_oracle_to_length_14(self):
+        expected = [(w, is_seahorse(trace(w))) for w in _words(14)]
+        assert scan_turn_words(14) == expected
+        for k in range(1, 15):
+            assert seahorse_words(k) == [
+                w for w, report in expected if len(w) <= k and report.is_seahorse
+            ]
+
+    def test_pruned_search_matches_an_enumeration_to_length_18(self):
+        assert _no_triple_run_words(12) == [w for w in _words(12) if max_run_length(w) <= 2]
+        words = _no_triple_run_words(18)
+        seahorses, survivors = [], [0] * 18
+        for w in words:
+            curve = trace(w)
+            survivors[len(w) - 1] += curve_stats(curve).bounded_region_count <= 1
+            if is_seahorse(curve).is_seahorse:
+                seahorses.append(w)
+        assert seahorse_words(18) == seahorses
+        assert _survivors(18) == survivors
+
+    def test_golden_search_k24(self):
+        lines = GOLDEN_K24.read_text().splitlines()
+        assert lines[1].startswith("survivors ")
+        assert _survivors(24) == [int(n) for n in lines[1].split()[1:]]
+        assert seahorse_words(24) == lines[2:]
+        assert lines[2:4] == GOLDEN.read_text().split()
+
+    def test_builds_no_curve_per_word(self, monkeypatch):
+        def no_curve(self):
+            raise AssertionError("a LatticeCurve was built")
+
+        monkeypatch.setattr(LatticeCurve, "__post_init__", no_curve)
+        assert seahorse_words(14)
+        assert len(scan_turn_words(8)) == 2**9 - 2
+
+    @pytest.mark.parametrize("scan, cap", [
+        (seahorse_words, curves.MAX_SEAHORSE_LEN),
+        (scan_turn_words, curves.MAX_ALL_WORDS_LEN),
+    ])
+    def test_cap_checked_before_any_work(self, monkeypatch, scan, cap):
+        monkeypatch.setattr(curves, "_walk_turn_words", None)
+        with pytest.raises(ResourceLimitError, match="max_len"):
+            scan(cap + 1)
+        for bad in (0, -1, 2.0, "12"):
+            with pytest.raises(ValueError, match="max_len"):
+                scan(bad)
+
+
 class TestRigidMotion:
     ALL_LINEAR = [
         RigidMotion(rotation=r, reflect=f)
@@ -331,6 +405,21 @@ class TestIterateDragon:
     def test_resource_cap(self):
         with pytest.raises(ResourceLimitError):
             iterate_dragon(trace("LLR"), 5, max_edges=16)
+
+    def test_builds_one_curve(self, monkeypatch):
+        seed = trace("LLR")
+        built = []
+        validate = LatticeCurve.__post_init__
+
+        def counted(curve):
+            built.append(curve.segment_count)
+            validate(curve)
+
+        monkeypatch.setattr(LatticeCurve, "__post_init__", counted)
+        assert iterate_dragon(seed, 6).segment_count == 3 * 2**6
+        assert built == [3 * 2**6]
+        assert iterate_dragon(seed, 0) is seed
+        assert built == [3 * 2**6]
 
     def test_rejects_negative_generations(self):
         with pytest.raises(ValueError):
