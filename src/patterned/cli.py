@@ -22,13 +22,19 @@ from typing import List, Optional
 
 import numpy as np
 
-from . import core, curves, dynamics, graphs, serialize
-from .errors import ConvergenceError, InvariantError
+from . import core, curves, dynamics, graphs, serialize, tridiag
+from .errors import ConvergenceError, InvariantError, ResourceLimitError
 
 # Claimed values for the first hundred integers, reported alongside computed
 # results and never fed into any computation.
 CLAIMED_COUNT_100 = 72
 CLAIMED_DENSITY_100 = 0.72
+
+# Caps on flags that size a command, checked before it scans or allocates:
+# about 1 GB at 150 bytes per walk site (turns: 67 per member) and 450 per dag
+# integer; curve --k takes curves.DEFAULT_EDGE_CAP segments, 290 bytes each.
+MAX_MEMBERS = 6_000_000
+MAX_DAG_LIMIT = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -131,10 +137,12 @@ def _out_stream(path: Optional[str]):
         raise
 
 
-def _require(cfg: RunConfig, name: str):
+def _require(cfg: RunConfig, name: str, cap: Optional[int] = None):
     value = getattr(cfg, name)
     if value is None:
         raise ValueError(f"{name} is required for this command")
+    if cap is not None and value > cap:
+        raise ResourceLimitError(f"{name} must be <= {cap}, got {value}")
     return value
 
 
@@ -156,7 +164,7 @@ def _parse_word(word: str) -> List[str]:
 def _seed_turns(cfg: RunConfig) -> List[str]:
     if cfg.word is not None:
         return _parse_word(cfg.word)
-    return core.turn_sequence(_require(cfg, "k"))
+    return core.turn_sequence(_require(cfg, "k", curves.DEFAULT_EDGE_CAP))
 
 
 def _parse_motions(value) -> List[curves.RigidMotion]:
@@ -201,11 +209,11 @@ def _parse_s_grid(grid: str) -> List[float]:
         raise ValueError(f"bad s_grid value in {grid!r}") from exc
 
 
-def _chain_sites(cfg: RunConfig) -> int:
+def _chain_sites(cfg: RunConfig, cap: int) -> int:
     if cfg.sites is not None:
-        return cfg.sites
+        return _require(cfg, "sites", cap)
     if cfg.limit is not None:
-        return len(core.patterned_sequence(cfg.limit))
+        return len(core.patterned_sequence(_require(cfg, "limit", MAX_MEMBERS)))
     raise ValueError("either sites or limit is required for this command")
 
 
@@ -215,14 +223,14 @@ def _chain_sites(cfg: RunConfig) -> int:
 
 def _cmd_gen(cfg: RunConfig) -> int:
     limit = _require(cfg, "limit")
-    profiles = core.patterned_profiles(limit)
+    blocks = core.profile_blocks(limit)
     fmt = _format(cfg, "csv")
     with _out_stream(cfg.out) as stream:
         if fmt == "csv":
-            rows = map(serialize.profile_row, profiles)
+            rows = serialize.profile_csv_rows(blocks)
             serialize.write_csv(stream, serialize.PROFILE_CSV_HEADER, rows)
         else:
-            listing = [serialize.profile_json(p) for p in profiles]
+            listing = list(serialize.profile_json_entries(blocks))
             serialize.write_json(stream, {"limit": limit, "profiles": listing})
     return 0
 
@@ -258,7 +266,7 @@ def _cmd_primes(cfg: RunConfig) -> int:
             rows = sorted(
                 [(p, "patterned") for p in patterned] + [(p, "gap") for p in gaps]
             )
-            serialize.write_csv(stream, ("p", "group"), rows)
+            serialize.write_csv(stream, ("p", "group"), map("%d,%s\n".__mod__, rows))
         else:
             serialize.write_json(
                 stream, {"limit": limit, "patterned": patterned, "gap": gaps}
@@ -267,13 +275,13 @@ def _cmd_primes(cfg: RunConfig) -> int:
 
 
 def _cmd_turns(cfg: RunConfig) -> int:
-    k = _require(cfg, "k")
+    k = _require(cfg, "k", MAX_MEMBERS)
     members = core.scan_members(k=k)
     fmt = _format(cfg, "csv")
     with _out_stream(cfg.out) as stream:
         if fmt == "csv":
             rows = zip(range(1, k + 1), members.numbers, members.turns)
-            serialize.write_csv(stream, ("index", "n", "turn"), rows)
+            serialize.write_csv(stream, ("index", "n", "turn"), map("%d,%d,%s\n".__mod__, rows))
         else:
             payload = {"k": k, "numbers": members.numbers, "turns": members.turns}
             serialize.write_json(stream, payload)
@@ -304,18 +312,20 @@ def _cmd_seahorse_scan(cfg: RunConfig) -> int:
     header = ("word", "length")
     if cfg.all_words:
         header += ("max_run_ok", "single_region_ok", "reflection_ok", "is_seahorse")
-        rows = (
-            (w, len(w), r.max_turn_run_ok, r.single_region_ok, r.reflection_ok, r.is_seahorse)
+        scan = (
+            (w, (r.max_turn_run_ok, r.single_region_ok, r.reflection_ok, r.is_seahorse))
             for w, r in curves.scan_turn_words(cfg.max_len)
         )
+        text = serialize.BOOL_TEXT
+        rows = ("%s,%d,%s,%s,%s,%s\n" % (w, len(w), *[text[f] for f in fs]) for w, fs in scan)
     else:
         words = curves.seahorse_words(cfg.max_len)
-        rows = ((w, len(w)) for w in words)
+        rows = ("%s,%d\n" % (w, len(w)) for w in words)
     with _out_stream(cfg.out) as stream:
         if fmt == "csv":
             serialize.write_csv(stream, header, rows)
         elif cfg.all_words:
-            listing = [{"word": w, **dict(zip(header[2:], flags))} for w, _, *flags in rows]
+            listing = [{"word": w, **dict(zip(header[2:], fs))} for w, fs in scan]
             serialize.write_json(stream, {"max_len": cfg.max_len, "words": listing})
         else:
             serialize.write_json(stream, {"max_len": cfg.max_len, "seahorses": words})
@@ -349,7 +359,7 @@ def _cmd_tessellate(cfg: RunConfig) -> int:
 
 
 def _cmd_dag(cfg: RunConfig) -> int:
-    limit = _require(cfg, "limit")
+    limit = _require(cfg, "limit", MAX_DAG_LIMIT)
     dag = graphs.build_dag(
         limit,
         include_chain=cfg.chain,
@@ -363,14 +373,15 @@ def _cmd_dag(cfg: RunConfig) -> int:
 
 
 def _cmd_walk(cfg: RunConfig) -> int:
-    n = _chain_sites(cfg)
+    n = _chain_sites(cfg, MAX_MEMBERS)
     coins = dynamics.CoinSpec(theta_L=cfg.theta_l, theta_R=cfg.theta_r)
     series = dynamics.run_walk(
         n, cfg.steps, coins=coins, initial_site=cfg.initial_site,
         initial_coin=cfg.initial_coin, boundary=cfg.boundary,
     )
     header = ("step",) + tuple(f"site_{i}" for i in range(1, n + 1))
-    rows = ((step, *row.tolist()) for step, row in enumerate(series))
+    line = "%d" + f",{serialize.REAL}" * n + "\n"
+    rows = (line % (step, *row.tolist()) for step, row in enumerate(series))
     with _out_stream(cfg.out) as stream:
         serialize.write_csv(stream, header, rows)
     return 0
@@ -378,7 +389,7 @@ def _cmd_walk(cfg: RunConfig) -> int:
 
 def _build_chain(cfg: RunConfig) -> dynamics.OscillatorChain:
     return dynamics.patterned_chain(
-        _chain_sites(cfg),
+        _chain_sites(cfg, tridiag.MAX_DENSE_SITES),
         g_L=cfg.g_l,
         g_R=cfg.g_r,
         s=cfg.s,
@@ -393,7 +404,8 @@ def _cmd_modes(cfg: RunConfig) -> int:
     chain = _build_chain(cfg)
     spectrum = dynamics.eigensystem(dynamics.build_single_excitation_hamiltonian(chain))
     values, ratios = spectrum.eigenvalues.tolist(), spectrum.participation_ratios.tolist()
-    rows = zip(range(1, len(values) + 1), values, ratios)
+    line = f"%d,{serialize.REAL},{serialize.REAL}\n"
+    rows = map(line.__mod__, zip(range(1, len(values) + 1), values, ratios))
     with _out_stream(cfg.out) as stream:
         serialize.write_csv(stream, ("index", "eigenvalue", "participation_ratio"), rows)
     return 0
@@ -403,8 +415,10 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     chain = _build_chain(cfg)
     points = dynamics.adiabatic_sweep(chain, _parse_s_grid(cfg.s_grid))
     header = tuple(f.name for f in dataclasses.fields(dynamics.SweepPoint))
+    line = ",".join([serialize.REAL] * len(header)) + "\n"
+    rows = (line % dataclasses.astuple(point) for point in points)
     with _out_stream(cfg.out) as stream:
-        serialize.write_csv(stream, header, map(dataclasses.astuple, points))
+        serialize.write_csv(stream, header, rows)
     return 0
 
 

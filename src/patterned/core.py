@@ -83,11 +83,7 @@ for _r in range(1, 1000):
 _DIVISOR_MASKS = np.array(_DIVISORS, dtype=np.uint16)
 _CHUNK_MASKS = np.array(_CHUNK_DIGITS, dtype=np.uint16)
 _POPCOUNT = np.array([bin(m).count("1") for m in range(1024)], dtype=np.uint16)
-_LABELS = (TURN_RIGHT, TURN_LEFT)  # indexed by match-count parity
-# The digit sets of the 5-bit halves of a mask, digits 0..4 and 5..9.
-_HALVES = [
-    [frozenset(d + s for d in range(5) if m >> d & 1) for m in range(32)] for s in (0, 5)
-]
+TURN_OF_PARITY = (TURN_RIGHT, TURN_LEFT)  # indexed by match-count parity
 del _DIVISORS, _CHUNK_DIGITS, _d, _r
 
 
@@ -119,24 +115,11 @@ def _member_blocks(limit: int) -> Iterator[Tuple[np.ndarray, ...]]:
 
 def _members(numbers: list, matches: np.ndarray) -> Members:
     counts = _POPCOUNT[matches].tolist()
-    return Members(numbers, counts, [_LABELS[c & 1] for c in counts])
+    return Members(numbers, counts, [TURN_OF_PARITY[c & 1] for c in counts])
 
 
 def _mask_set(mask: int) -> frozenset:
-    return _HALVES[0][mask & 31] | _HALVES[1][mask >> 5]
-
-
-def _profile(n: int, digits: int, matches: int) -> DigitDivisorProfile:
-    count = bin(matches).count("1")
-    return DigitDivisorProfile(
-        n=n,
-        digits=_mask_set(digits | ("0" in str(n))),  # the masks omit the digit 0
-        small_divisors=_mask_set(int(_DIVISOR_MASKS[n % 2520])),
-        matches=_mask_set(matches),
-        match_count=count,
-        is_patterned=count > 0,
-        turn=_LABELS[count % 2] if count else None,
-    )
+    return frozenset(d for d in range(10) if mask >> d & 1)
 
 
 def profile(n: int) -> DigitDivisorProfile:
@@ -146,18 +129,27 @@ def profile(n: int) -> DigitDivisorProfile:
     so matches are always drawn from 1..9.
     """
     _check_positive(n)
-    digits, matches = classify_block(np.array([n], dtype=np.int64))
-    return _profile(n, int(digits[0]), int(matches[0]))
+    digits, matches = (int(m[0]) for m in classify_block(np.array([n], dtype=np.int64)))
+    count = bin(matches).count("1")
+    return DigitDivisorProfile(
+        n=n,
+        digits=_mask_set(digits | ("0" in str(n))),  # the masks omit the digit 0
+        small_divisors=_mask_set(int(_DIVISOR_MASKS[n % 2520])),
+        matches=_mask_set(matches),
+        match_count=count,
+        is_patterned=count > 0,
+        turn=TURN_OF_PARITY[count % 2] if count else None,
+    )
 
 
-def patterned_profiles(limit: int) -> Iterator[DigitDivisorProfile]:
-    """Profiles of the qualifying n <= limit, ascending; ``limit`` is checked
-    at the call, the profiles are made one block at a time as they are read."""
+def profile_blocks(limit: int) -> Iterator[Tuple[np.ndarray, ...]]:
+    """(numbers, nonzero-digit masks, divisor masks, match masks) of the
+    qualifying n <= limit, one block at a time: :func:`profile` as masks.
+    ``limit`` is checked at the call, the blocks are made as they are read."""
     _check_positive(limit, "limit")
     return (
-        _profile(n, d, m)
-        for block in _member_blocks(limit)
-        for n, d, m in zip(*(column.tolist() for column in block))
+        (numbers, digits, _DIVISOR_MASKS[numbers % 2520], matches)
+        for numbers, digits, matches in _member_blocks(limit)
     )
 
 

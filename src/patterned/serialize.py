@@ -2,12 +2,15 @@
 
 All numeric formatting is explicit (reals at 12 significant digits) and all
 iteration orders are fixed, so identical inputs serialize to identical bytes.
+Each CSV row and SVG path is formatted whole, by one %-format or one lookup
+table per command, not by a Python call per cell.
 """
 
 import json
-from typing import IO, Iterable, List, Sequence, Tuple
+from functools import cache
+from typing import IO, Iterable, Iterator, Sequence, Tuple
 
-from .core import DigitDivisorProfile
+from .core import TURN_OF_PARITY
 from .curves import LatticeCurve, Tessellation
 from .graphs import (
     KIND_GAP_PRIME,
@@ -17,7 +20,9 @@ from .graphs import (
     PatternedDag,
 )
 
-REAL_SIGNIFICANT_DIGITS = 12
+# The %-format of a real cell: '%.12g' % x is format(float(x), '.12g').
+REAL = "%.12g"
+BOOL_TEXT = ("false", "true")  # indexed by a bool
 
 PROFILE_CSV_HEADER = (
     "n", "digits", "small_divisors", "matches", "match_count", "patterned", "turn",
@@ -26,24 +31,11 @@ PROFILE_CSV_HEADER = (
 SVG_PALETTE = ("black", "#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd")
 
 
-def fmt_real(x: float) -> str:
-    return format(float(x), f".{REAL_SIGNIFICANT_DIGITS}g")
-
-
-def fmt_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return fmt_real(value)
-    return str(value)
-
-
-def write_csv(stream: IO[str], header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Comma-separated, newline-terminated, header first; no quoting needed
-    because no emitted cell ever contains a comma."""
+def write_csv(stream: IO[str], header: Sequence[str], rows: Iterable[str]) -> None:
+    """Header first, then the rows, each one preformatted line ending in a
+    newline; no quoting is needed because no emitted cell contains a comma."""
     stream.write(",".join(header) + "\n")
-    for row in rows:
-        stream.write(",".join(fmt_cell(cell) for cell in row) + "\n")
+    stream.writelines(rows)
 
 
 def write_json(stream: IO[str], payload) -> None:
@@ -51,40 +43,44 @@ def write_json(stream: IO[str], payload) -> None:
     stream.write("\n")
 
 
-def profile_row(p: DigitDivisorProfile) -> List:
-    return [
-        p.n,
-        "|".join(str(d) for d in sorted(p.digits)),
-        "|".join(str(d) for d in sorted(p.small_divisors)),
-        "|".join(str(d) for d in sorted(p.matches)),
-        p.match_count,
-        p.is_patterned,
-        p.turn or "",
-    ]
+def _mask_digits() -> list:
+    """The digits of every 10-bit digit mask (bit d for the digit d)."""
+    return [[d for d in range(10) if m >> d & 1] for m in range(1024)]
 
 
-def profile_json(p: DigitDivisorProfile) -> dict:
-    return {
-        "n": p.n,
-        "digits": sorted(p.digits),
-        "small_divisors": sorted(p.small_divisors),
-        "matches": sorted(p.matches),
-        "match_count": p.match_count,
-        "patterned": p.is_patterned,
-        "turn": p.turn,
-    }
+@cache
+def _profile_texts() -> Tuple[list, list]:
+    """By digit mask: its digits joined by '|', and, as the match mask of a
+    number, the `matches,match_count,patterned,turn` tail of its `gen` CSV
+    row. Built on the first `gen` call, not at import."""
+    digits = _mask_digits()
+    texts = ["|".join(map(str, ds)) for ds in digits]
+    tails = [f"{t},{len(ds)},true,{TURN_OF_PARITY[len(ds) & 1]}" for t, ds in zip(texts, digits)]
+    return texts, tails
 
 
-def parse_profile_json(obj: dict) -> DigitDivisorProfile:
-    return DigitDivisorProfile(
-        n=obj["n"],
-        digits=frozenset(obj["digits"]),
-        small_divisors=frozenset(obj["small_divisors"]),
-        matches=frozenset(obj["matches"]),
-        match_count=obj["match_count"],
-        is_patterned=obj["patterned"],
-        turn=obj["turn"],
-    )
+def profile_csv_rows(blocks: Iterable[tuple]) -> Iterator[str]:
+    """`gen` CSV lines of ``core.profile_blocks``, every cell but n looked up
+    by mask; the masks leave out the digit 0, which the text of n shows."""
+    texts, tails = _profile_texts()
+    for numbers, digits, divisors, matches in blocks:
+        yield from (
+            f"{n},{texts[d | ('0' in n)]},{texts[s]},{tails[m]}\n"
+            for n, d, s, m in zip(map(str, numbers.tolist()), digits.tolist(),
+                                  divisors.tolist(), matches.tolist())
+        )
+
+
+def profile_json_entries(blocks: Iterable[tuple]) -> Iterator[dict]:
+    """`gen` JSON entries of ``core.profile_blocks``, every field but n looked up
+    by mask; entries share the digit lists, which ``json`` writes out each time."""
+    digits = _mask_digits()
+    for block in blocks:
+        for n, d, s, m in zip(*(column.tolist() for column in block)):
+            count = len(digits[m])
+            yield {"n": n, "digits": digits[d | ("0" in str(n))], "small_divisors": digits[s],
+                   "matches": digits[m], "match_count": count, "patterned": True,
+                   "turn": TURN_OF_PARITY[count & 1]}
 
 
 # ---------------------------------------------------------------------------
@@ -92,11 +88,9 @@ def parse_profile_json(obj: dict) -> DigitDivisorProfile:
 # ---------------------------------------------------------------------------
 
 def _svg_path(points: Sequence[Tuple[int, int]], unit: float) -> str:
-    parts = []
-    for i, (x, y) in enumerate(points):
-        cmd = "M" if i == 0 else "L"
-        parts.append(f"{cmd} {fmt_real(x * unit)} {fmt_real(y * unit)}")
-    return " ".join(parts)
+    """Path data of a polyline, formatted by one %-format for all points."""
+    path = f"M {REAL} {REAL}" + f" L {REAL} {REAL}" * (len(points) - 1)
+    return path % tuple([c * unit for point in points for c in point])
 
 
 def curves_svg(curves: Sequence[Tuple[str, LatticeCurve]], unit: float = 1.0) -> str:
@@ -114,12 +108,12 @@ def curves_svg(curves: Sequence[Tuple[str, LatticeCurve]], unit: float = 1.0) ->
     ys = [y for _, c in curves for _, y in c.vertices]
     x0, x1 = min(xs) - 1, max(xs) + 1
     y0, y1 = min(ys) - 1, max(ys) + 1
-    view = " ".join(fmt_real(v * unit) for v in (x0, y0, x1 - x0, y1 - y0))
+    view = " ".join(REAL % (v * unit) for v in (x0, y0, x1 - x0, y1 - y0))
     # y_svg = (y0 + y1)*unit - y_math*unit keeps flipped content inside the box
-    flip = f"translate(0 {fmt_real((y0 + y1) * unit)}) scale(1 -1)"
+    flip = f"translate(0 {REAL % ((y0 + y1) * unit)}) scale(1 -1)"
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{view}">',
-        f'<g transform="{flip}" fill="none" stroke-width="{fmt_real(0.1 * unit)}" '
+        f'<g transform="{flip}" fill="none" stroke-width="{REAL % (0.1 * unit)}" '
         'stroke-linecap="square">',
     ]
     for i, (path_id, curve) in enumerate(curves):

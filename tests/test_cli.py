@@ -6,10 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from patterned import core, curves, serialize
+from patterned import cli, core, curves, dynamics, graphs, serialize
 from patterned.cli import cli_dispatch
 from patterned.errors import InvariantError
-from patterned.serialize import parse_profile_json, profile_json
 from patterned.core import profile
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -41,10 +40,18 @@ class TestGen:
         assert code == 0
         payload = json.loads(out)
         assert payload["limit"] == 36
+        assert [e["n"] for e in payload["profiles"]] == core.patterned_sequence(36)
         for entry in payload["profiles"]:
-            original = profile(entry["n"])
-            assert parse_profile_json(entry) == original
-            assert profile_json(original) == entry
+            p = profile(entry["n"])
+            assert entry == {
+                "n": p.n,
+                "digits": sorted(p.digits),
+                "small_divisors": sorted(p.small_divisors),
+                "matches": sorted(p.matches),
+                "match_count": p.match_count,
+                "patterned": p.is_patterned,
+                "turn": p.turn,
+            }
 
     def test_missing_limit_is_validation_error(self, capsys):
         code, _, err = run(capsys, "gen")
@@ -513,3 +520,59 @@ class TestAtomicOut:
         assert run(capsys, "turns", "--k", "3", "--out", str(out_file))[0] == 0
         assert out_file.read_text() == "index,n,turn\n1,1,L\n2,2,L\n3,3,L\n"
         assert list(tmp_path.iterdir()) == [out_file]
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before the size cap was checked")
+
+
+ROTATIONS = '[{"rotation": 0}, {"rotation": 90}]'
+
+
+class TestSizeCaps:
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        for module, name in ((core, "_member_blocks"), (core, "classify_block"),
+                             (curves, "trace"), (graphs, "build_dag"),
+                             (dynamics, "run_walk"), (dynamics, "patterned_chain")):
+            monkeypatch.setattr(module, name, _no_work)
+
+    @pytest.mark.parametrize(
+        "argv, flag, cap",
+        [
+            (("turns", "--k"), "k", cli.MAX_MEMBERS),
+            (("curve", "--k"), "k", curves.DEFAULT_EDGE_CAP),
+            (("dragon", "--generations", "2", "--k"), "k", curves.DEFAULT_EDGE_CAP),
+            (("tessellate", "--placements", ROTATIONS, "--k"), "k", curves.DEFAULT_EDGE_CAP),
+            (("dag", "--limit"), "limit", cli.MAX_DAG_LIMIT),
+            (("walk", "--steps", "0", "--limit"), "limit", cli.MAX_MEMBERS),
+            (("modes", "--limit"), "limit", cli.MAX_MEMBERS),
+            (("sweep", "--limit"), "limit", cli.MAX_MEMBERS),
+            (("walk", "--steps", "0", "--sites"), "sites", cli.MAX_MEMBERS),
+            (("modes", "--sites"), "sites", 5000),
+            (("sweep", "--sites"), "sites", 5000),
+        ],
+    )
+    @pytest.mark.parametrize("over", [1, 10**12])
+    def test_cap_checked_before_any_work(self, capsys, tmp_path, argv, flag, cap, over):
+        out_file = tmp_path / "out"
+        code, out, err = run(capsys, *argv, str(cap + over), "--out", str(out_file))
+        assert code == 2 and out == ""
+        assert err == f"error: {flag} must be <= {cap}, got {cap + over}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_caps_are_inclusive(self, capsys, monkeypatch):
+        monkeypatch.undo()
+        monkeypatch.setattr(cli, "MAX_MEMBERS", 12)
+        monkeypatch.setattr(cli, "MAX_DAG_LIMIT", 19)
+        monkeypatch.setattr(curves, "DEFAULT_EDGE_CAP", 12)
+        for argv, flag, cap in (
+            (("turns", "--k"), "k", 12),
+            (("curve", "--k"), "k", 12),
+            (("dag", "--limit"), "limit", 19),
+            (("walk", "--steps", "3", "--sites"), "sites", 12),
+            (("walk", "--steps", "3", "--limit"), "limit", 12),
+        ):
+            assert run(capsys, *argv, str(cap))[0] == 0
+            code, _, err = run(capsys, *argv, str(cap + 1))
+            assert code == 2 and err == f"error: {flag} must be <= {cap}, got {cap + 1}\n"

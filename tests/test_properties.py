@@ -1,0 +1,61 @@
+"""Property tests: row and path formats against the cell-by-cell reference.
+
+A command builds one %-format per row from its column kinds ("%d" for
+integers, ``serialize.REAL`` for reals, "%s" for text and for bools looked
+up in ``serialize.BOOL_TEXT``) and one per SVG path. Here hypothesis draws
+columns, rows, points and units and checks that those formats give the bytes
+the per-cell reference of ``test_serialize`` gives.
+"""
+
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from patterned import core, serialize
+from patterned.core import MAX_INT, profile
+from test_serialize import member_block, ref_line, ref_path, ref_profile_row
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+int64 = st.integers(min_value=-MAX_INT - 1, max_value=MAX_INT)
+cell = st.one_of(int64, finite, st.booleans(), st.sampled_from(["L", "R", "gap", ""]))
+
+# The cell format of each column kind, and how a value enters it.
+FORMATS = {
+    int: ("%d", int),
+    float: (serialize.REAL, float),
+    bool: ("%s", serialize.BOOL_TEXT.__getitem__),
+    str: ("%s", str),
+}
+
+
+@given(st.integers(min_value=0, max_value=MAX_INT), st.lists(finite, max_size=40))
+def test_step_and_reals_row(step, reals):
+    line = "%d" + f",{serialize.REAL}" * len(reals) + "\n"
+    assert line % (step, *reals) == ref_line([step, *reals])
+
+
+@given(st.lists(cell, min_size=1, max_size=12))
+def test_mixed_columns(row):
+    formats = [FORMATS[type(value)] for value in row]
+    line = ",".join(f for f, _ in formats) + "\n"
+    assert line % tuple(put(v) for (_, put), v in zip(formats, row)) == ref_line(row)
+
+
+@given(
+    st.lists(st.tuples(st.integers(-(2**20), 2**20), st.integers(-(2**20), 2**20)),
+             min_size=1, max_size=60),
+    st.one_of(st.floats(min_value=1e-300, max_value=1e300), st.sampled_from([1, 0.1, 1 / 3])),
+)
+def test_svg_path(points, unit):
+    assert serialize._svg_path(points, unit) == ref_path(points, unit)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.integers(min_value=1, max_value=MAX_INT), min_size=1, max_size=20))
+def test_gen_rows(numbers):
+    block = member_block(sorted(set(numbers)))
+    with mock.patch.object(core, "_member_blocks", lambda limit: iter([block])):
+        rows = list(serialize.profile_csv_rows(core.profile_blocks(MAX_INT)))
+    expected = [profile(n) for n in block[0].tolist()]
+    assert rows == [ref_line(ref_profile_row(p)) for p in expected]
