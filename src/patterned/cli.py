@@ -31,10 +31,14 @@ CLAIMED_COUNT_100 = 72
 CLAIMED_DENSITY_100 = 0.72
 
 # Caps on flags that size a command, checked before it scans or allocates:
-# about 1 GB at 150 bytes per walk site (turns: 67 per member) and 450 per dag
-# integer; curve --k takes curves.DEFAULT_EDGE_CAP segments, 290 bytes each.
+# about 1 GB at 150 bytes per walk site (turns: 67 per member), 450 per dag
+# integer, 7.3 per primes integer and 270 per gen --format json integer;
+# curve --k takes curves.DEFAULT_EDGE_CAP segments, 290 bytes each. gen CSV
+# streams its rows and has no cap.
 MAX_MEMBERS = 6_000_000
 MAX_DAG_LIMIT = 2_000_000
+MAX_PRIMES_LIMIT = 130_000_000
+MAX_GEN_JSON_LIMIT = 3_500_000
 
 
 @dataclass(frozen=True)
@@ -222,7 +226,7 @@ def _chain_sites(cfg: RunConfig, cap: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_gen(cfg: RunConfig) -> int:
-    limit = _require(cfg, "limit")
+    limit = _require(cfg, "limit", MAX_GEN_JSON_LIMIT if cfg.format == "json" else None)
     blocks = core.profile_blocks(limit)
     fmt = _format(cfg, "csv")
     with _out_stream(cfg.out) as stream:
@@ -258,7 +262,7 @@ def _cmd_count(cfg: RunConfig) -> int:
 
 
 def _cmd_primes(cfg: RunConfig) -> int:
-    limit = _require(cfg, "limit")
+    limit = _require(cfg, "limit", MAX_PRIMES_LIMIT)
     patterned, gaps = graphs.partition_primes(limit)
     fmt = _format(cfg, "csv")
     with _out_stream(cfg.out) as stream:

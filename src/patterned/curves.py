@@ -176,10 +176,10 @@ def max_run_length(labels: Iterable[str]) -> int:
     return best
 
 
-def _graph_components(vertices: set, adjacency: dict) -> int:
+def _graph_components(adjacency: dict) -> int:
     seen = set()
     count = 0
-    for v in vertices:
+    for v in adjacency:
         if v in seen:
             continue
         count += 1
@@ -187,32 +187,25 @@ def _graph_components(vertices: set, adjacency: dict) -> int:
         seen.add(v)
         while queue:
             u = queue.popleft()
-            for w in adjacency.get(u, ()):
+            for w in adjacency[u]:
                 if w not in seen:
                     seen.add(w)
                     queue.append(w)
     return count
 
 
-def bounded_regions_euler(edges: Iterable[Tuple[Point, Point]],
-                          isolated_vertices: Iterable[Point] = ()) -> int:
+def bounded_regions_euler(edges: Iterable[Tuple[Point, Point]]) -> int:
     """Bounded faces of a planarized lattice-edge set via E - V + C.
 
     Unit lattice edges can only meet at lattice points, so deduplicating
     vertices and edges is a complete planarization.
     """
     edge_set = {_norm_edge(a, b) for a, b in edges}
-    vertices = set(isolated_vertices)
-    adjacency = {}
+    adjacency = {}  # every vertex is an edge end
     for a, b in edge_set:
-        vertices.add(a)
-        vertices.add(b)
         adjacency.setdefault(a, []).append(b)
         adjacency.setdefault(b, []).append(a)
-    if not vertices:
-        return 0
-    components = _graph_components(vertices, adjacency)
-    return len(edge_set) - len(vertices) + components
+    return len(edge_set) - len(adjacency) + _graph_components(adjacency)
 
 
 def bounded_regions_flood(edges: Iterable[Tuple[Point, Point]]) -> int:
@@ -275,7 +268,11 @@ def bounded_regions_flood(edges: Iterable[Tuple[Point, Point]]) -> int:
 
 
 def curve_stats(curve: LatticeCurve) -> CurveStats:
-    """Planar statistics of a curve (regions via the Euler relation)."""
+    """Planar statistics of a curve (regions via the Euler relation).
+
+    A curve is one connected path, so its vertices and edges form a single
+    component and E - V + C needs no component search: C = 1.
+    """
     edge_set = curve.edge_set()
     xs = [x for x, _ in curve.vertices]
     ys = [y for _, y in curve.vertices]
@@ -286,7 +283,7 @@ def curve_stats(curve: LatticeCurve) -> CurveStats:
         segment_count=curve.segment_count,
         unique_edge_count=len(edge_set),
         revisited_vertex_count=sum(1 for c in visits.values() if c > 1),
-        bounded_region_count=bounded_regions_euler(edge_set, curve.vertices),
+        bounded_region_count=len(edge_set) - len(visits) + 1,
         bounding_box=(min(xs), min(ys), max(xs), max(ys)),
         max_turn_run=max_run_length(curve.source_turns),
     )
@@ -332,32 +329,6 @@ class RigidMotion:
     def apply_point(self, p: Point) -> Point:
         x, y = self.apply_vector(p)
         return (x + self.translation[0], y + self.translation[1])
-
-    def compose(self, inner: "RigidMotion") -> "RigidMotion":
-        """Motion equal to applying ``inner`` first, then this one."""
-        if self.reflect:
-            rotation = (self.rotation - inner.rotation) % 360
-        else:
-            rotation = (self.rotation + inner.rotation) % 360
-        return RigidMotion(
-            rotation=rotation,
-            reflect=self.reflect != inner.reflect,
-            translation=self.apply_point(inner.translation),
-        )
-
-    def inverse(self) -> "RigidMotion":
-        rotation = self.rotation if self.reflect else (-self.rotation) % 360
-        linear = RigidMotion(rotation=rotation, reflect=self.reflect)
-        tx, ty = self.translation
-        return RigidMotion(
-            rotation=rotation,
-            reflect=self.reflect,
-            translation=linear.apply_vector((-tx, -ty)),
-        )
-
-    @classmethod
-    def identity(cls) -> "RigidMotion":
-        return cls()
 
 
 def apply_motion(curve: LatticeCurve, motion: RigidMotion) -> LatticeCurve:

@@ -300,7 +300,10 @@ def build_single_excitation_hamiltonian(chain: OscillatorChain) -> SymTridiag:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigensystem with per-mode localization, eigenvalues ascending."""
+    """Eigensystem with per-mode localization, eigenvalues ascending.
+
+    Within a (near-)degenerate eigenspace the vectors are whatever basis the
+    solver returns, so their participation ratios depend on the solver."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray              # column j pairs with eigenvalue j

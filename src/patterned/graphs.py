@@ -1,14 +1,15 @@
 """DAGs over the qualifying numbers: chains, prime clusters, gap statistics.
 
-Edges always point from smaller to larger integers, so every generated graph
-is acyclic by construction; the topological-sort verifier treats any cycle as
-an internal bug rather than a user error.
+Edges always point from smaller to larger integers, so ascending n is a
+topological order; the verifier checks this and treats a failure as an
+internal bug rather than a user error.
 """
 
-import heapq
 from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Tuple
+
+import numpy as np
 
 from .core import is_patterned_prime, patterned_sequence, primes_up_to
 from .errors import InvariantError
@@ -18,26 +19,36 @@ KIND_PATTERNED_PRIME_DIGIT1 = "patterned_prime_digit1"
 KIND_GAP_PRIME = "gap_prime"
 KIND_PATTERNED_COMPOSITE = "patterned_composite"
 
+# Node kinds by code: PatternedDag.kinds indexes this tuple.
+KINDS = (
+    KIND_PATTERNED_COMPOSITE,
+    KIND_PATTERNED_PRIME_SMALL,
+    KIND_PATTERNED_PRIME_DIGIT1,
+    KIND_GAP_PRIME,
+)
 
-@dataclass(frozen=True)
-class NodeLabel:
-    n: int
-    kind: str
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PatternedDag:
-    """Vertex-labeled DAG; chain and cluster edges are kept apart so their
-    counts can be checked independently."""
+    """Vertex-labeled DAG as sorted arrays; chain and cluster edges are kept
+    apart so their counts can be checked independently."""
 
-    nodes: Tuple[NodeLabel, ...]
-    chain_edges: Tuple[Tuple[int, int], ...]
-    cluster_edges: Tuple[Tuple[int, int], ...]
+    nodes: np.ndarray          # int64, ascending
+    kinds: np.ndarray          # uint8 per node, indexing KINDS
+    chain_edges: np.ndarray    # int64 (m, 2) rows (u, v)
+    cluster_edges: np.ndarray  # int64 (m, 2) rows (u, v)
 
     @cached_property
-    def edges(self) -> Tuple[Tuple[int, int], ...]:
-        """Deduplicated union of both edge kinds, ascending."""
-        return tuple(sorted(set(self.chain_edges) | set(self.cluster_edges)))
+    def edges(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Deduplicated union of both edge kinds, ascending, and a flag per
+        edge marking the cluster edges; an edge of both kinds is a cluster edge."""
+        both = np.concatenate((self.chain_edges, self.cluster_edges))
+        cluster = np.arange(len(both)) >= len(self.chain_edges)
+        order = np.lexsort((both[:, 1], both[:, 0]))  # stable: cluster after chain twin
+        both, cluster = both[order], cluster[order]
+        last = np.ones(len(both), dtype=bool)  # the last of each run of equal edges
+        last[:-1] = (both[1:] != both[:-1]).any(axis=1)
+        return both[last], cluster[last]
 
 
 def partition_primes(limit: int) -> Tuple[List[int], List[int]]:
@@ -59,6 +70,11 @@ def gap_primes(limit: int) -> List[int]:
     return partition_primes(limit)[1]
 
 
+def _path_edges(ns: np.ndarray) -> np.ndarray:
+    """Edges joining consecutive entries of an ascending array, as (m, 2)."""
+    return np.stack((ns[:-1], ns[1:]), axis=1)
+
+
 def build_dag(
     limit: int,
     include_chain: bool = True,
@@ -73,52 +89,41 @@ def build_dag(
     """
     if not isinstance(limit, int) or limit < 2:
         raise ValueError(f"limit must be an integer >= 2, got {limit!r}")
-    members = patterned_sequence(limit)
-    pp, gp = partition_primes(limit)
-    kinds = dict.fromkeys(members, KIND_PATTERNED_COMPOSITE)
-    for p in pp:
-        kinds[p] = KIND_PATTERNED_PRIME_SMALL if p <= 9 else KIND_PATTERNED_PRIME_DIGIT1
+    members = np.array(patterned_sequence(limit), dtype=np.int64)
+    pp, gp = (np.array(ps, dtype=np.int64) for ps in partition_primes(limit))
+    nodes = np.sort(np.concatenate((members, gp))) if include_gap_primes else members
+    kinds = np.zeros(len(nodes), dtype=np.uint8)  # KIND_PATTERNED_COMPOSITE
+    kinds[np.searchsorted(nodes, pp)] = 1 + (pp > 9)  # KIND_PATTERNED_PRIME_SMALL or _DIGIT1
     if include_gap_primes:
-        kinds.update(dict.fromkeys(gp, KIND_GAP_PRIME))
-    nodes = tuple(NodeLabel(n, kinds[n]) for n in sorted(kinds))
-    chain = tuple(zip(members, members[1:])) if include_chain else ()
-    cluster = tuple(zip(pp, pp[1:])) if include_prime_cluster else ()
-    return PatternedDag(nodes=nodes, chain_edges=chain, cluster_edges=cluster)
+        kinds[np.searchsorted(nodes, gp)] = 3  # KIND_GAP_PRIME
+    return PatternedDag(
+        nodes=nodes,
+        kinds=kinds,
+        chain_edges=_path_edges(members if include_chain else members[:0]),
+        cluster_edges=_path_edges(pp if include_prime_cluster else pp[:0]),
+    )
 
 
 def verify_acyclic_and_sort(dag: PatternedDag) -> List[int]:
-    """Topological order of the DAG (ascending n, which is always valid).
+    """Topological order of the DAG: ascending n, once the nodes are checked
+    to ascend strictly and every edge to join two nodes and point forward.
 
-    Generated graphs can never contain a cycle or a descending edge; hitting
-    either here means the construction is broken, so the failure is an
-    InvariantError rather than a ValueError.
+    Generated graphs can never fail these checks; a failure means the
+    construction is broken, so it is an InvariantError, not a ValueError.
     """
-    ns = [label.n for label in dag.nodes]
-    known = set(ns)
-    edges = dag.edges
-    for u, v in edges:
-        if u not in known or v not in known:
-            raise InvariantError(f"edge ({u}, {v}) references a missing node")
-        if u >= v:
-            raise InvariantError(f"edge ({u}, {v}) does not point forward")
-    indegree = {n: 0 for n in ns}
-    out = {n: [] for n in ns}
-    for u, v in edges:
-        indegree[v] += 1
-        out[u].append(v)
-    ready = [n for n in ns if indegree[n] == 0]
-    heapq.heapify(ready)
-    order = []
-    while ready:
-        n = heapq.heappop(ready)
-        order.append(n)
-        for v in out[n]:
-            indegree[v] -= 1
-            if indegree[v] == 0:
-                heapq.heappush(ready, v)
-    if len(order) != len(ns):
-        raise InvariantError("cycle detected in a generated DAG")
-    return order
+    nodes = dag.nodes
+    if np.any(nodes[1:] <= nodes[:-1]):
+        raise InvariantError("nodes are not strictly ascending")
+    edges, _ = dag.edges
+    at = np.minimum(np.searchsorted(nodes, edges), len(nodes) - 1)
+    missing = (nodes[at] != edges).any(axis=1) if len(nodes) else np.ones(len(edges), bool)
+    bad = missing | (edges[:, 0] >= edges[:, 1])
+    if bad.any():
+        first = int(np.argmax(bad))
+        u, v = edges[first].tolist()
+        problem = "references a missing node" if missing[first] else "does not point forward"
+        raise InvariantError(f"edge ({u}, {v}) {problem}")
+    return nodes.tolist()
 
 
 def gap_statistics(limit: int) -> List[Tuple[int, int]]:

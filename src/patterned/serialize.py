@@ -12,13 +12,7 @@ from typing import IO, Iterable, Iterator, Sequence, Tuple
 
 from .core import TURN_OF_PARITY
 from .curves import LatticeCurve, Tessellation
-from .graphs import (
-    KIND_GAP_PRIME,
-    KIND_PATTERNED_COMPOSITE,
-    KIND_PATTERNED_PRIME_DIGIT1,
-    KIND_PATTERNED_PRIME_SMALL,
-    PatternedDag,
-)
+from .graphs import PatternedDag
 
 # The %-format of a real cell: '%.12g' % x is format(float(x), '.12g').
 REAL = "%.12g"
@@ -141,22 +135,20 @@ def tessellation_svg(tess: Tessellation, unit: float = 1.0) -> str:
 # DOT
 # ---------------------------------------------------------------------------
 
-_DOT_NODE_ATTRS = {
-    KIND_PATTERNED_PRIME_SMALL: 'shape=circle',
-    KIND_PATTERNED_PRIME_DIGIT1: 'shape=circle, style=filled, fillcolor=lightblue',
-    KIND_GAP_PRIME: 'shape=box, style=dashed',
-    KIND_PATTERNED_COMPOSITE: 'shape=ellipse',
-}
+_DOT_NODE_LINES = (  # by kind code, the order of graphs.KINDS
+    "  %d [shape=ellipse];\n",
+    "  %d [shape=circle];\n",
+    "  %d [shape=circle, style=filled, fillcolor=lightblue];\n",
+    "  %d [shape=box, style=dashed];\n",
+)
+_DOT_EDGE_LINES = ("  %d -> %d;\n", "  %d -> %d [color=steelblue];\n")  # by cluster flag
 
 
 def dag_dot(dag: PatternedDag) -> str:
-    """Graphviz digraph; prime-cluster edges are tinted to stand apart."""
-    lines = ["digraph patterned {", "  rankdir=LR;"]
-    for label in dag.nodes:
-        lines.append(f"  {label.n} [{_DOT_NODE_ATTRS[label.kind]}];")
-    cluster = set(dag.cluster_edges)
-    for u, v in dag.edges:
-        attr = " [color=steelblue]" if (u, v) in cluster else ""
-        lines.append(f"  {u} -> {v}{attr};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    """Graphviz digraph; prime-cluster edges are tinted to stand apart. The
+    line formats, joined in node and edge order, are applied once each."""
+    edges, cluster = dag.edges
+    node_lines = "".join([_DOT_NODE_LINES[k] for k in dag.kinds.tolist()])
+    edge_lines = "".join([_DOT_EDGE_LINES[c] for c in cluster.tolist()])
+    texts = (node_lines % tuple(dag.nodes.tolist()), edge_lines % tuple(edges.ravel().tolist()))
+    return "digraph patterned {\n  rankdir=LR;\n%s%s}\n" % texts

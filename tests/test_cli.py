@@ -533,7 +533,8 @@ class TestSizeCaps:
     @pytest.fixture(autouse=True)
     def no_work(self, monkeypatch):
         for module, name in ((core, "_member_blocks"), (core, "classify_block"),
-                             (curves, "trace"), (graphs, "build_dag"),
+                             (core, "primes_up_to"), (graphs, "primes_up_to"),
+                             (core, "profile_blocks"), (curves, "trace"), (graphs, "build_dag"),
                              (dynamics, "run_walk"), (dynamics, "patterned_chain")):
             monkeypatch.setattr(module, name, _no_work)
 
@@ -551,6 +552,8 @@ class TestSizeCaps:
             (("walk", "--steps", "0", "--sites"), "sites", cli.MAX_MEMBERS),
             (("modes", "--sites"), "sites", 5000),
             (("sweep", "--sites"), "sites", 5000),
+            (("primes", "--limit"), "limit", cli.MAX_PRIMES_LIMIT),
+            (("gen", "--format", "json", "--limit"), "limit", cli.MAX_GEN_JSON_LIMIT),
         ],
     )
     @pytest.mark.parametrize("over", [1, 10**12])
@@ -565,14 +568,19 @@ class TestSizeCaps:
         monkeypatch.undo()
         monkeypatch.setattr(cli, "MAX_MEMBERS", 12)
         monkeypatch.setattr(cli, "MAX_DAG_LIMIT", 19)
+        monkeypatch.setattr(cli, "MAX_PRIMES_LIMIT", 19)
+        monkeypatch.setattr(cli, "MAX_GEN_JSON_LIMIT", 13)
         monkeypatch.setattr(curves, "DEFAULT_EDGE_CAP", 12)
         for argv, flag, cap in (
             (("turns", "--k"), "k", 12),
             (("curve", "--k"), "k", 12),
             (("dag", "--limit"), "limit", 19),
+            (("primes", "--limit"), "limit", 19),
+            (("gen", "--format", "json", "--limit"), "limit", 13),
             (("walk", "--steps", "3", "--sites"), "sites", 12),
             (("walk", "--steps", "3", "--limit"), "limit", 12),
         ):
             assert run(capsys, *argv, str(cap))[0] == 0
             code, _, err = run(capsys, *argv, str(cap + 1))
             assert code == 2 and err == f"error: {flag} must be <= {cap}, got {cap + 1}\n"
+        assert run(capsys, "gen", "--limit", "14")[0] == 0  # the CSV streams: no cap

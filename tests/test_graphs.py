@@ -1,6 +1,15 @@
 """DAG construction, topological sorting, and gap statistics tests."""
 
+import heapq
+import itertools
+from dataclasses import dataclass
+from functools import cached_property
+from typing import List, Tuple
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patterned import graphs
 from patterned.core import (
@@ -15,7 +24,7 @@ from patterned.graphs import (
     KIND_PATTERNED_COMPOSITE,
     KIND_PATTERNED_PRIME_DIGIT1,
     KIND_PATTERNED_PRIME_SMALL,
-    NodeLabel,
+    KINDS,
     PatternedDag,
     build_dag,
     gap_primes,
@@ -24,6 +33,7 @@ from patterned.graphs import (
     patterned_primes,
     verify_acyclic_and_sort,
 )
+from patterned.serialize import dag_dot
 
 PATTERNED_PRIMES_100 = [2, 3, 5, 7, 11, 13, 17, 19, 31, 41, 61, 71]
 GAP_PRIMES_100 = [23, 29, 37, 43, 47, 53, 59, 67, 73, 79, 83, 89, 97]
@@ -34,7 +44,131 @@ ABSENT = "unpatterned"
 
 
 def node_kinds(limit):
-    return {lbl.n: lbl.kind for lbl in build_dag(limit, include_gap_primes=True).nodes}
+    dag = build_dag(limit, include_gap_primes=True)
+    return dict(zip(dag.nodes.tolist(), (KINDS[k] for k in dag.kinds.tolist())))
+
+
+def edge_list(edges):
+    return [tuple(edge) for edge in edges.tolist()]
+
+
+def hand_made_dag(nodes, chain_edges):
+    """A DAG built by hand, every node a composite, with no cluster edges."""
+    return PatternedDag(
+        nodes=np.array(nodes, dtype=np.int64),
+        kinds=np.zeros(len(nodes), dtype=np.uint8),
+        chain_edges=np.array(chain_edges, dtype=np.int64).reshape(-1, 2),
+        cluster_edges=np.empty((0, 2), dtype=np.int64),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the DAG as a general graph, one label object per node, the edge
+# union as a set of tuples and a heap-based Kahn topological sort, with the
+# DOT writer that went with it.
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class OracleLabel:
+    n: int
+    kind: str
+
+
+@dataclass(frozen=True)
+class OracleDag:
+    nodes: Tuple[OracleLabel, ...]
+    chain_edges: Tuple[Tuple[int, int], ...]
+    cluster_edges: Tuple[Tuple[int, int], ...]
+
+    @cached_property
+    def edges(self) -> Tuple[Tuple[int, int], ...]:
+        return tuple(sorted(set(self.chain_edges) | set(self.cluster_edges)))
+
+
+def oracle_build_dag(limit, include_chain=True, include_prime_cluster=True,
+                     include_gap_primes=False) -> OracleDag:
+    members = patterned_sequence(limit)
+    pp, gp = partition_primes(limit)
+    kinds = dict.fromkeys(members, KIND_PATTERNED_COMPOSITE)
+    for p in pp:
+        kinds[p] = KIND_PATTERNED_PRIME_SMALL if p <= 9 else KIND_PATTERNED_PRIME_DIGIT1
+    if include_gap_primes:
+        kinds.update(dict.fromkeys(gp, KIND_GAP_PRIME))
+    nodes = tuple(OracleLabel(n, kinds[n]) for n in sorted(kinds))
+    chain = tuple(zip(members, members[1:])) if include_chain else ()
+    cluster = tuple(zip(pp, pp[1:])) if include_prime_cluster else ()
+    return OracleDag(nodes=nodes, chain_edges=chain, cluster_edges=cluster)
+
+
+def oracle_sort(dag: OracleDag) -> List[int]:
+    ns = [label.n for label in dag.nodes]
+    known = set(ns)
+    for u, v in dag.edges:
+        if u not in known or v not in known:
+            raise InvariantError(f"edge ({u}, {v}) references a missing node")
+        if u >= v:
+            raise InvariantError(f"edge ({u}, {v}) does not point forward")
+    indegree = {n: 0 for n in ns}
+    out = {n: [] for n in ns}
+    for u, v in dag.edges:
+        indegree[v] += 1
+        out[u].append(v)
+    ready = [n for n in ns if indegree[n] == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        n = heapq.heappop(ready)
+        order.append(n)
+        for v in out[n]:
+            indegree[v] -= 1
+            if indegree[v] == 0:
+                heapq.heappush(ready, v)
+    if len(order) != len(ns):
+        raise InvariantError("cycle detected in a generated DAG")
+    return order
+
+
+ORACLE_NODE_ATTRS = {
+    KIND_PATTERNED_PRIME_SMALL: 'shape=circle',
+    KIND_PATTERNED_PRIME_DIGIT1: 'shape=circle, style=filled, fillcolor=lightblue',
+    KIND_GAP_PRIME: 'shape=box, style=dashed',
+    KIND_PATTERNED_COMPOSITE: 'shape=ellipse',
+}
+
+
+def oracle_dot(dag: OracleDag) -> str:
+    lines = ["digraph patterned {", "  rankdir=LR;"]
+    for label in dag.nodes:
+        lines.append(f"  {label.n} [{ORACLE_NODE_ATTRS[label.kind]}];")
+    cluster = set(dag.cluster_edges)
+    for u, v in dag.edges:
+        attr = " [color=steelblue]" if (u, v) in cluster else ""
+        lines.append(f"  {u} -> {v}{attr};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+FLAG_SETS = list(itertools.product((False, True), repeat=3))
+
+
+def assert_matches_oracle(limit, flags):
+    dag, oracle = build_dag(limit, *flags), oracle_build_dag(limit, *flags)
+    assert dag_dot(dag) == oracle_dot(oracle)
+    assert verify_acyclic_and_sort(dag) == oracle_sort(oracle)
+
+
+class TestAgainstOracle:
+    @pytest.mark.parametrize("flags", FLAG_SETS)
+    @pytest.mark.parametrize(
+        "limit", [2, 3, 19, 1023, 1024, 1025, 1026, 5119, 5120, 5121, 15000]
+    )
+    def test_dot_and_order_match(self, limit, flags):
+        assert_matches_oracle(limit, flags)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=2, max_value=20000), st.sampled_from(FLAG_SETS))
+    def test_dot_and_order_match_any_limit(self, limit, flags):
+        assert_matches_oracle(limit, flags)
 
 
 class TestClassify:
@@ -99,15 +233,24 @@ class TestPrimePartition:
 
 class TestBuildDag:
     def test_cluster_edges_at_19(self):
-        dag = build_dag(19)
-        assert (11, 13) in dag.cluster_edges
-        assert (13, 17) in dag.cluster_edges
-        assert (17, 19) in dag.cluster_edges
+        cluster = edge_list(build_dag(19).cluster_edges)
+        assert (11, 13) in cluster
+        assert (13, 17) in cluster
+        assert (17, 19) in cluster
 
     def test_chain_only_at_3(self):
         dag = build_dag(3, include_prime_cluster=False)
-        assert dag.edges == ((1, 2), (2, 3))
-        assert dag.cluster_edges == ()
+        edges, is_cluster = dag.edges
+        assert edge_list(edges) == [(1, 2), (2, 3)]
+        assert not is_cluster.any()
+        assert dag.cluster_edges.shape == (0, 2)
+
+    def test_edge_of_both_kinds_is_a_cluster_edge(self):
+        edges, is_cluster = build_dag(19).edges
+        flagged = dict(zip(edge_list(edges), is_cluster.tolist()))
+        assert flagged[(2, 3)] and flagged[(11, 13)]
+        assert not flagged[(1, 2)] and not flagged[(3, 4)]
+        assert len(flagged) == len(edges)
 
     def test_edges_built_once(self):
         dag = build_dag(100)
@@ -115,7 +258,7 @@ class TestBuildDag:
 
     def test_cluster_path_visits_the_12_primes(self):
         dag = build_dag(100)
-        visited = sorted({n for edge in dag.cluster_edges for n in edge})
+        visited = sorted({n for edge in edge_list(dag.cluster_edges) for n in edge})
         assert visited == PATTERNED_PRIMES_100
 
     def test_chain_edge_count(self):
@@ -125,15 +268,15 @@ class TestBuildDag:
 
     def test_nodes_are_the_sequence(self):
         dag = build_dag(50)
-        assert [lbl.n for lbl in dag.nodes] == patterned_sequence(50)
+        assert dag.nodes.tolist() == patterned_sequence(50)
+        assert dag.nodes.dtype == np.int64 and dag.kinds.shape == dag.nodes.shape
 
     def test_gap_primes_appear_isolated_when_requested(self):
-        dag = build_dag(30, include_gap_primes=True)
-        ns = {lbl.n for lbl in dag.nodes}
-        assert {23, 29} <= ns
-        kinds = {lbl.n: lbl.kind for lbl in dag.nodes}
+        kinds = node_kinds(30)
+        assert {23, 29} <= kinds.keys()
         assert kinds[23] == KIND_GAP_PRIME
-        touched = {n for edge in dag.edges for n in edge}
+        touched = {n for edge in edge_list(build_dag(30, include_gap_primes=True).edges[0])
+                   for n in edge}
         assert 23 not in touched and 29 not in touched
 
     def test_rejects_tiny_limit(self):
@@ -145,27 +288,27 @@ class TestTopologicalSort:
     def test_ascending_order_accepted(self):
         dag = build_dag(100)
         order = verify_acyclic_and_sort(dag)
-        assert order == [lbl.n for lbl in dag.nodes]
+        assert isinstance(order, list) and order == dag.nodes.tolist()
 
     def test_descending_edge_rejected(self):
-        dag = PatternedDag(
-            nodes=(
-                NodeLabel(3, KIND_PATTERNED_PRIME_SMALL),
-                NodeLabel(5, KIND_PATTERNED_PRIME_SMALL),
-            ),
-            chain_edges=((5, 3),),
-            cluster_edges=(),
-        )
-        with pytest.raises(InvariantError):
+        dag = hand_made_dag([3, 5], [(5, 3)])
+        with pytest.raises(InvariantError, match=r"edge \(5, 3\) does not point forward"):
             verify_acyclic_and_sort(dag)
 
     def test_missing_endpoint_rejected(self):
-        dag = PatternedDag(
-            nodes=(NodeLabel(3, KIND_PATTERNED_PRIME_SMALL),),
-            chain_edges=((3, 5),),
-            cluster_edges=(),
-        )
-        with pytest.raises(InvariantError):
+        for nodes in ([3], []):
+            dag = hand_made_dag(nodes, [(3, 5)])
+            with pytest.raises(InvariantError, match=r"edge \(3, 5\) references a missing node"):
+                verify_acyclic_and_sort(dag)
+
+    @pytest.mark.parametrize("nodes", [[5, 3], [3, 3, 5]])
+    def test_unsorted_nodes_rejected(self, nodes):
+        with pytest.raises(InvariantError, match="not strictly ascending"):
+            verify_acyclic_and_sort(hand_made_dag(nodes, []))
+
+    def test_first_bad_edge_is_named(self):
+        dag = hand_made_dag([1, 2, 4], [(4, 2), (1, 3)])
+        with pytest.raises(InvariantError, match=r"edge \(1, 3\) references a missing node"):
             verify_acyclic_and_sort(dag)
 
     def test_large_dag_sorts_completely(self):

@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from patterned import core, curves, dynamics, serialize
+from patterned import cli, core, curves, dynamics, serialize
 from patterned.cli import cli_dispatch
 from patterned.core import MAX_INT, patterned_sequence, profile
 
@@ -128,6 +128,7 @@ class TestGen:
         block = member_block(WIDE)
         assert 0 < block[0].size < len(WIDE)
         monkeypatch.setattr(core, "_member_blocks", lambda limit: iter([block]))
+        monkeypatch.setattr(cli, "MAX_GEN_JSON_LIMIT", MAX_INT)  # the blocks are faked
         out = run(capsys, "gen", "--limit", MAX_INT, "--format", fmt)
         assert out == ref_gen(fmt, MAX_INT, block[0].tolist())
 
