@@ -187,13 +187,15 @@ def _parse_motions(value) -> List[curves.RigidMotion]:
         if not isinstance(translation, list) or list(map(type, translation)) != [int, int]:
             raise ValueError(f"placements[{i}] translation must be two integers, "
                              f"got {json.dumps(translation)}")
-        motions.append(
-            curves.RigidMotion(
-                rotation=entry.get("rotation", 0),
-                reflect=bool(entry.get("reflect", False)),
-                translation=tuple(translation),
-            )
-        )
+        rotation = entry.get("rotation", 0)
+        if type(rotation) is not int or rotation not in (0, 90, 180, 270):
+            raise ValueError(f"placements[{i}] rotation must be one of 0/90/180/270, "
+                             f"got {json.dumps(rotation)}")
+        reflect = entry.get("reflect", False)
+        if not isinstance(reflect, bool):
+            raise ValueError(f"placements[{i}] reflect must be true or false, "
+                             f"got {json.dumps(reflect)}")
+        motions.append(curves.RigidMotion(rotation, reflect, tuple(translation)))
     return motions
 
 

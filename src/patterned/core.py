@@ -12,6 +12,7 @@ predicate are kept as oracles that tests check it against.
 """
 
 from dataclasses import dataclass
+from math import isqrt
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -220,12 +221,16 @@ def primes_up_to(limit: int) -> list:
     _check_positive(limit, "limit")
     if limit < 2:
         return []
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0] = sieve[1] = 0
-    for i in range(2, int(limit**0.5) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i in range(2, limit + 1) if sieve[i]]
+    # zero-filled, composites marked: a failing bytearray(...) * n leaves a
+    # stray SystemError on stderr, a failing bytearray(n) does not
+    try:
+        composite = bytearray(limit + 1)
+        for i in range(2, isqrt(limit) + 1):
+            if not composite[i]:
+                composite[i * i :: i] = b"\x01" * len(range(i * i, limit + 1, i))
+        return [i for i in range(2, limit + 1) if not composite[i]]
+    except MemoryError:
+        raise MemoryError(f"the sieve up to limit {limit} does not fit in memory") from None
 
 
 def is_patterned_prime(p: int, assume_prime: bool = False) -> bool:

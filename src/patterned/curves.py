@@ -10,6 +10,7 @@ and tessellations built from rigid-motion copies.
 from collections import deque
 from dataclasses import dataclass
 from itertools import product
+from operator import index
 from typing import Iterable, List, Tuple
 
 from .core import TURN_LEFT, TURN_RIGHT
@@ -18,55 +19,61 @@ from .errors import ResourceLimitError
 Point = Tuple[int, int]
 
 HEADINGS = ("E", "N", "W", "S")
-HEADING_VECTORS = {"E": (1, 0), "N": (0, 1), "W": (-1, 0), "S": (0, -1)}
-_LEFT_OF = {"E": "N", "N": "W", "W": "S", "S": "E"}
-_RIGHT_OF = {v: k for k, v in _LEFT_OF.items()}
-_VECTOR_HEADINGS = {v: k for k, v in HEADING_VECTORS.items()}
+_STEPS = ((1, 0), (0, 1), (-1, 0), (0, -1))  # unit step of each heading
+_STEP_INDEX = {step: i for i, step in enumerate(_STEPS)}
+_TURN = {TURN_LEFT: 1, TURN_RIGHT: 3}  # added to the heading index, mod 4
 
 # Cap on curve size for the doubling iteration (design default, overridable).
 DEFAULT_EDGE_CAP = 2**20
 
 
-def rotate_heading(heading: str, turn_label: str) -> str:
-    if turn_label == TURN_LEFT:
-        return _LEFT_OF[heading]
-    if turn_label == TURN_RIGHT:
-        return _RIGHT_OF[heading]
-    raise ValueError(f"turn label must be 'L' or 'R', got {turn_label!r}")
+def _step_indices(vertices) -> List[int]:
+    """Heading index of each step of a vertex path; each step must be one unit along an axis."""
+    steps = [(bx - ax, by - ay) for (ax, ay), (bx, by) in zip(vertices, vertices[1:])]
+    indices = list(map(_STEP_INDEX.get, steps))
+    if None in indices:
+        i = indices.index(None)
+        (ax, ay), (bx, by) = vertices[i], vertices[i + 1]
+        raise ValueError(f"non-unit step ({ax},{ay})->({bx},{by})")
+    return indices
 
 
 @dataclass(frozen=True)
 class LatticeCurve:
     """Ordered unit-step path on the integer grid.
 
-    ``headings`` holds one compass direction per segment; ``final_heading``
-    is the exit heading after the last turn, kept so curves can be iterated
-    or composed. ``source_turns`` is empty for geometrically built curves.
+    ``final_heading`` is the exit heading after the last turn, kept so curves
+    can be iterated or composed. ``source_turns`` is empty for geometrically
+    built curves. Every curve is checked here, once: the builders compute no
+    headings, and ``headings`` is derived from the vertex steps.
     """
 
     vertices: Tuple[Point, ...]
-    headings: Tuple[str, ...]
     source_turns: Tuple[str, ...]
     final_heading: str
 
     def __post_init__(self):
         if not self.vertices:
             raise ValueError("a curve needs at least one vertex")
-        if len(self.vertices) != len(self.headings) + 1:
-            raise ValueError("vertex/heading count mismatch")
-        if self.final_heading not in HEADING_VECTORS:
+        if self.final_heading not in HEADINGS:
             raise ValueError(f"bad final heading {self.final_heading!r}")
-        for (ax, ay), h, (bx, by) in zip(self.vertices, self.headings, self.vertices[1:]):
-            if (bx - ax, by - ay) != HEADING_VECTORS[h]:
-                raise ValueError(
-                    f"segment ({ax},{ay})->({bx},{by}) does not match heading {h}"
-                )
-        if self.source_turns:
-            if len(self.source_turns) != len(self.headings):
+        steps = _step_indices(self.vertices)
+        turns = self.source_turns
+        if turns:
+            if len(turns) != len(steps):
                 raise ValueError("turn/segment count mismatch")
-            for h, t, nxt in zip(self.headings, self.source_turns, self.headings[1:]):
-                if nxt != rotate_heading(h, t):
+            for t in turns:
+                if t not in _TURN:
+                    raise ValueError(f"turn label must be 'L' or 'R', got {t!r}")
+            exits = steps[1:] + [HEADINGS.index(self.final_heading)]
+            for h, t, nxt in zip(steps, turns, exits):
+                if nxt != (h + _TURN[t]) % 4:
                     raise ValueError("heading transition inconsistent with turn word")
+
+    @property
+    def headings(self) -> Tuple[str, ...]:
+        """One compass heading per segment."""
+        return tuple(HEADINGS[i] for i in _step_indices(self.vertices))
 
     @property
     def start(self) -> Point:
@@ -78,7 +85,7 @@ class LatticeCurve:
 
     @property
     def segment_count(self) -> int:
-        return len(self.headings)
+        return len(self.vertices) - 1
 
     def edges(self) -> List[Tuple[Point, Point]]:
         """Traversed unit edges in order, normalized, duplicates kept."""
@@ -123,47 +130,43 @@ def trace(
     k labels produce k segments and k+1 vertices. The last rotation only
     sets the exit heading stored on the curve.
     """
-    if initial_heading not in HEADING_VECTORS:
+    if initial_heading not in HEADINGS:
         raise ValueError(f"bad initial heading {initial_heading!r}")
     x, y = start
     if not isinstance(x, int) or not isinstance(y, int):
         raise ValueError(f"start must be an integer point, got {start!r}")
     word = tuple(turns)
     vertices = [(x, y)]
-    headings = []
-    heading = initial_heading
+    heading = HEADINGS.index(initial_heading)
     for label in word:
-        dx, dy = HEADING_VECTORS[heading]
+        dx, dy = _STEPS[heading]
         x, y = x + dx, y + dy
         vertices.append((x, y))
-        headings.append(heading)
-        heading = rotate_heading(heading, label)
-    return LatticeCurve(
-        vertices=tuple(vertices),
-        headings=tuple(headings),
-        source_turns=word,
-        final_heading=heading,
-    )
+        heading = (heading + _TURN.get(label, 0)) % 4  # LatticeCurve rejects a bad label
+    return LatticeCurve(tuple(vertices), word, HEADINGS[heading])
+
+
+def _last_step_heading(vertices) -> str:
+    """Exit heading of a curve with no turn word: its last step's, or E."""
+    if len(vertices) < 2:
+        return "E"
+    (ax, ay), (bx, by) = vertices[-2:]
+    return HEADINGS[_STEP_INDEX.get((bx - ax, by - ay), 0)]  # LatticeCurve checks the step
 
 
 def curve_from_vertices(vertices: Iterable[Point]) -> LatticeCurve:
-    """Build a curve from an explicit unit-step vertex path (no turn word)."""
-    verts = tuple((int(x), int(y)) for x, y in vertices)
-    if not verts:
-        raise ValueError("a curve needs at least one vertex")
-    headings = []
-    for (ax, ay), (bx, by) in zip(verts, verts[1:]):
-        delta = (bx - ax, by - ay)
-        if delta not in _VECTOR_HEADINGS:
-            raise ValueError(f"non-unit step ({ax},{ay})->({bx},{by})")
-        headings.append(_VECTOR_HEADINGS[delta])
-    final = headings[-1] if headings else "E"
-    return LatticeCurve(
-        vertices=verts,
-        headings=tuple(headings),
-        source_turns=(),
-        final_heading=final,
-    )
+    """Build a curve from an explicit unit-step vertex path (no turn word).
+
+    Coordinates must be integers (numpy integers included); anything else
+    raises ``ValueError`` rather than being truncated.
+    """
+    verts = []
+    for x, y in vertices:
+        try:
+            verts.append((index(x), index(y)))
+        except TypeError:
+            raise ValueError(f"vertex coordinates must be integers, got ({x!r}, {y!r})") from None
+    return LatticeCurve(tuple(verts), (), _last_step_heading(verts))
 
 
 def max_run_length(labels: Iterable[str]) -> int:
@@ -298,11 +301,9 @@ def region_count_flood(curve: LatticeCurve) -> int:
 # rigid motions and tessellation
 # ---------------------------------------------------------------------------
 
-def _rotate_point_ccw(p: Point, quarter_turns: int) -> Point:
-    x, y = p
-    for _ in range(quarter_turns % 4):
-        x, y = -y, x
-    return (x, y)
+# the counterclockwise turn by each rotation, as (a, b, c, d) in RigidMotion.matrix
+_ROTATIONS = {0: (1, 0, 0, 1), 90: (0, -1, 1, 0), 180: (-1, 0, 0, -1), 270: (0, 1, -1, 0)}
+_MIRROR = {TURN_LEFT: TURN_RIGHT, TURN_RIGHT: TURN_LEFT}
 
 
 @dataclass(frozen=True)
@@ -314,17 +315,22 @@ class RigidMotion:
     translation: Point = (0, 0)
 
     def __post_init__(self):
-        if self.rotation not in (0, 90, 180, 270):
+        if self.rotation not in _ROTATIONS:
             raise ValueError(f"rotation must be one of 0/90/180/270, got {self.rotation}")
         tx, ty = self.translation
         if not isinstance(tx, int) or not isinstance(ty, int):
             raise ValueError(f"translation must be an integer vector, got {self.translation!r}")
 
+    @property
+    def matrix(self) -> Tuple[int, int, int, int]:
+        """The linear part (a, b, c, d): (x, y) -> (a x + b y, c x + d y)."""
+        a, b, c, d = _ROTATIONS[self.rotation]
+        return (a, -b, c, -d) if self.reflect else (a, b, c, d)
+
     def apply_vector(self, p: Point) -> Point:
+        a, b, c, d = self.matrix
         x, y = p
-        if self.reflect:
-            y = -y
-        return _rotate_point_ccw((x, y), self.rotation // 90)
+        return (a * x + b * y, c * x + d * y)
 
     def apply_point(self, p: Point) -> Point:
         x, y = self.apply_vector(p)
@@ -333,22 +339,14 @@ class RigidMotion:
 
 def apply_motion(curve: LatticeCurve, motion: RigidMotion) -> LatticeCurve:
     """Transform a curve by a rigid motion; turn chirality flips under reflection."""
-    vertices = tuple(motion.apply_point(v) for v in curve.vertices)
-    headings = []
-    for (ax, ay), (bx, by) in zip(vertices, vertices[1:]):
-        headings.append(_VECTOR_HEADINGS[(bx - ax, by - ay)])
+    a, b, c, d = motion.matrix
+    tx, ty = motion.translation
+    vertices = tuple((a * x + b * y + tx, c * x + d * y + ty) for x, y in curve.vertices)
+    turns = curve.source_turns
     if motion.reflect:
-        swap = {TURN_LEFT: TURN_RIGHT, TURN_RIGHT: TURN_LEFT}
-        source_turns = tuple(swap[t] for t in curve.source_turns)
-    else:
-        source_turns = curve.source_turns
-    final = _VECTOR_HEADINGS[motion.apply_vector(HEADING_VECTORS[curve.final_heading])]
-    return LatticeCurve(
-        vertices=vertices,
-        headings=tuple(headings),
-        source_turns=source_turns,
-        final_heading=final,
-    )
+        turns = tuple(_MIRROR[t] for t in turns)
+    exit_step = motion.apply_vector(_STEPS[HEADINGS.index(curve.final_heading)])
+    return LatticeCurve(vertices, turns, HEADINGS[_STEP_INDEX[exit_step]])
 
 
 def iterate_dragon(
@@ -361,7 +359,7 @@ def iterate_dragon(
     Each generation rotates the whole curve 90 degrees counterclockwise
     about the origin and translates the rotated copy so its start lands on
     the current end, then concatenates. Raw segment count doubles per
-    generation (before any edge deduplication).
+    generation (before any edge deduplication). The result has no turn word.
     """
     if not isinstance(generations, int) or generations < 0:
         raise ValueError(f"generations must be a non-negative integer, got {generations!r}")
@@ -379,39 +377,30 @@ def iterate_dragon(
         (sx, sy), (ex, ey) = vertices[0], vertices[-1]
         vx, vy = ex + sy, ey - sx
         vertices.extend([(vx - y, vy + x) for x, y in vertices[1:]])
-    return curve_from_vertices(vertices)
+    return LatticeCurve(tuple(vertices), (), _last_step_heading(vertices))
 
 
 @dataclass(frozen=True)
 class Tessellation:
     """Union of rigid-motion copies of a base curve, with overlap accounting."""
 
-    base_curve: LatticeCurve
-    placements: Tuple[RigidMotion, ...]
-    tiles: Tuple[LatticeCurve, ...]       # tile i = placements[i] applied to base
+    tiles: Tuple[LatticeCurve, ...]       # tile i = placement i applied to the base
     edges: frozenset
     overlap_count: int
 
 
 def tessellate(curve: LatticeCurve, placements: Iterable[RigidMotion]) -> Tessellation:
     """Place copies of a curve; overlap = total placed edges - unique edges."""
-    motions = tuple(placements)
-    if not motions:
+    tiles = tuple(apply_motion(curve, m) for m in placements)
+    if not tiles:
         raise ValueError("tessellate needs at least one placement")
-    tiles = tuple(apply_motion(curve, m) for m in motions)
     union = set()
     total = 0
     for tile in tiles:
         tile_edges = tile.edge_set()
         total += len(tile_edges)
         union |= tile_edges
-    return Tessellation(
-        base_curve=curve,
-        placements=motions,
-        tiles=tiles,
-        edges=frozenset(union),
-        overlap_count=total - len(union),
-    )
+    return Tessellation(tiles=tiles, edges=frozenset(union), overlap_count=total - len(union))
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +470,6 @@ def is_seahorse(curve: LatticeCurve) -> SeahorseReport:
 # takes about 12 s at 30; --all-words lists 2^(max_len+1) - 2 words.
 MAX_SEAHORSE_LEN = 30
 MAX_ALL_WORDS_LEN = 20
-
-_STEPS = tuple(HEADING_VECTORS[h] for h in HEADINGS)  # a left turn adds 1 to the index
 
 
 def _check_max_len(max_len: int, cap: int) -> None:

@@ -276,6 +276,30 @@ class TestTessellate:
         assert "placements[1] translation must be two integers" in err
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("rotation", "90.0"), ("rotation", "45"), ("rotation", "true"), ("rotation", '"90"'),
+        ("rotation", "null"), ("reflect", '"false"'), ("reflect", "0"), ("reflect", "1"),
+        ("reflect", "null"),
+    ])
+    def test_rotation_and_reflect_types_checked(self, capsys, tmp_path, key, value):
+        out_file = tmp_path / "tess.svg"
+        placements = f'[{{"rotation": 0}}, {{"{key}": {value}}}]'
+        code, out, err = run(
+            capsys, "tessellate", "--word", "RRRR",
+            "--placements", placements, "--out", str(out_file),
+        )
+        assert code == 2 and out == ""
+        assert f"placements[1] {key} must be" in err and value in err
+        assert not out_file.exists()
+
+    def test_reflect_false_does_not_reflect(self, capsys):
+        outputs = [
+            run(capsys, "tessellate", "--word", "LLR", "--placements", placements)
+            for placements in ('[{}]', '[{"reflect": false}]', '[{"reflect": true}]')
+        ]
+        assert all(code == 0 for code, _, _ in outputs)
+        assert outputs[0] == outputs[1] != outputs[2]
+
 
 class TestDag:
     def test_contains_cluster_edge(self, capsys):

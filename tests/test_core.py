@@ -4,6 +4,11 @@ Expected values here were frozen from independent brute-force scans (naive
 string-digit trial division), not from the implementation under test.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -157,6 +162,27 @@ class TestPrimes:
         assert primes_up_to(1) == []
         assert primes_up_to(2) == [2]
         assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+    def test_sieve_out_of_memory_names_the_limit(self):
+        # in a child process whose address space is capped at 4 GB: a 10^12
+        # sieve must fail cleanly, with no stray SystemError on stderr
+        pytest.importorskip("resource")
+        script = (
+            "import resource\n"
+            "from patterned import core\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))\n"
+            "try:\n"
+            "    core.primes_up_to(10**12)\n"
+            "except MemoryError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(core.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "SystemError" not in proc.stderr
+        assert "limit 1000000000000" in proc.stdout
 
 
 class TestSequence:

@@ -4,6 +4,7 @@ import random
 from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from patterned import curves
@@ -72,31 +73,132 @@ class TestTrace:
 
 
 class TestCurveValidation:
+    """``LatticeCurve`` is the one place a curve's steps are checked."""
+
     def test_non_unit_step_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"non-unit step \(0,0\)->\(2,0\)"):
             curve_from_vertices([(0, 0), (2, 0)])
 
     def test_diagonal_step_rejected(self):
-        with pytest.raises(ValueError):
-            curve_from_vertices([(0, 0), (1, 1)])
+        with pytest.raises(ValueError, match=r"non-unit step \(1,0\)->\(2,1\)"):
+            curve_from_vertices([(0, 0), (1, 0), (2, 1)])
 
-    def test_heading_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            LatticeCurve(
-                vertices=((0, 0), (1, 0)),
-                headings=("N",),
-                source_turns=(),
-                final_heading="E",
-            )
+    def test_no_vertices_rejected(self):
+        with pytest.raises(ValueError, match="at least one vertex"):
+            LatticeCurve(vertices=(), source_turns=(), final_heading="E")
+        with pytest.raises(ValueError, match="at least one vertex"):
+            curve_from_vertices([])
+
+    def test_direct_non_unit_step_rejected(self):
+        for vertices in (((0, 0), (0, 0)), ((0, 0), (1, 0), (1, 2)), ((5, 5), (4, 4))):
+            (ax, ay), (bx, by) = vertices[-2:]
+            with pytest.raises(ValueError, match=rf"non-unit step \({ax},{ay}\)->\({bx},{by}\)"):
+                LatticeCurve(vertices=vertices, source_turns=(), final_heading="E")
+
+    def test_bad_turn_label_rejected(self):
+        with pytest.raises(ValueError, match="turn label must be 'L' or 'R', got 'X'"):
+            LatticeCurve(vertices=((0, 0), (1, 0)), source_turns=("X",), final_heading="E")
+        with pytest.raises(ValueError, match="got 'X'"):
+            trace("LXR")
 
     def test_turn_heading_inconsistency_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="inconsistent with turn word"):
             LatticeCurve(
                 vertices=((0, 0), (1, 0), (2, 0)),
-                headings=("E", "E"),
                 source_turns=("L", "L"),
                 final_heading="N",
             )
+        # the last turn must give the exit heading
+        with pytest.raises(ValueError, match="inconsistent with turn word"):
+            LatticeCurve(vertices=((0, 0), (1, 0)), source_turns=("L",), final_heading="S")
+        with pytest.raises(ValueError, match="turn/segment count mismatch"):
+            LatticeCurve(vertices=((0, 0), (1, 0)), source_turns=("L", "L"), final_heading="N")
+
+    def test_bad_final_heading_rejected(self):
+        for final in ("Q", "e", None):
+            with pytest.raises(ValueError, match="bad final heading"):
+                LatticeCurve(vertices=((0, 0),), source_turns=(), final_heading=final)
+
+    def test_headings_derived_from_vertices(self):
+        c = LatticeCurve(vertices=((0, 0), (1, 0), (1, 1), (0, 1)), source_turns=(),
+                         final_heading="S")
+        assert c.headings == ("E", "N", "W")
+        assert trace("LLRR").headings == ("E", "N", "W", "N")
+        assert curve_from_vertices([(0, 0), (0, -1)]).final_heading == "S"
+        assert curve_from_vertices([(3, 4)]).final_heading == "E"
+
+    def test_non_integer_vertices_rejected(self):
+        for vertices in ([(0, 0), (1.7, 0.2)], [(0, 0), (1.0, 0)], [("0", 0)], [(None, 0)]):
+            with pytest.raises(ValueError, match="vertex coordinates must be integers"):
+                curve_from_vertices(vertices)
+
+    def test_numpy_integer_vertices_accepted(self):
+        c = curve_from_vertices(np.array([[0, 0], [1, 0], [1, 1]], dtype=np.int64))
+        assert c.vertices == ((0, 0), (1, 0), (1, 1))
+        assert all(type(v) is int for p in c.vertices for v in p)
+
+
+# The string-table tracer and point-rotation motion that ``trace`` and
+# ``apply_motion`` replaced, kept here as the oracle they are checked against.
+_VECTORS = {"E": (1, 0), "N": (0, 1), "W": (-1, 0), "S": (0, -1)}
+_LEFT_OF = {"E": "N", "N": "W", "W": "S", "S": "E"}
+_RIGHT_OF = {v: k for k, v in _LEFT_OF.items()}
+_HEADING_OF = {v: k for k, v in _VECTORS.items()}
+
+
+def _oracle_trace(word, start, heading):
+    x, y = start
+    vertices, headings = [(x, y)], []
+    for label in word:
+        dx, dy = _VECTORS[heading]
+        x, y = x + dx, y + dy
+        vertices.append((x, y))
+        headings.append(heading)
+        heading = _LEFT_OF[heading] if label == "L" else _RIGHT_OF[heading]
+    return tuple(vertices), tuple(headings), heading
+
+
+def _oracle_rotate_ccw(p, quarter_turns):
+    x, y = p
+    for _ in range(quarter_turns % 4):
+        x, y = -y, x
+    return (x, y)
+
+
+def _oracle_motion(vertices, final, rotation, reflect, translation):
+    def vector(p):
+        return _oracle_rotate_ccw((p[0], -p[1] if reflect else p[1]), rotation // 90)
+
+    moved = tuple(
+        (x + translation[0], y + translation[1]) for x, y in map(vector, vertices)
+    )
+    headings = tuple(
+        _HEADING_OF[bx - ax, by - ay] for (ax, ay), (bx, by) in zip(moved, moved[1:])
+    )
+    return moved, headings, _HEADING_OF[vector(_VECTORS[final])]
+
+
+class TestAgainstOracle:
+    def test_trace_and_motions_match_the_string_table_oracle(self):
+        rng = random.Random(8)
+        mirror = str.maketrans("LR", "RL")
+        for _ in range(300):
+            word = "".join(rng.choice("LR") for _ in range(rng.randint(0, 80)))
+            start, heading = (rng.randint(-9, 9), rng.randint(-9, 9)), rng.choice("ENWS")
+            c = trace(word, start, heading)
+            vertices, headings, final = _oracle_trace(word, start, heading)
+            assert (c.vertices, c.headings, c.final_heading) == (vertices, headings, final)
+            assert c.source_turns == tuple(word)
+            for rotation, reflect in product((0, 90, 180, 270), (False, True)):
+                shift = (rng.randint(-50, 50), rng.randint(-50, 50))
+                motion = RigidMotion(rotation, reflect, shift)
+                moved = apply_motion(c, motion)
+                expected = _oracle_motion(vertices, final, rotation, reflect, shift)
+                assert (moved.vertices, moved.headings, moved.final_heading) == expected
+                assert moved.source_turns == tuple(word.translate(mirror) if reflect else word)
+                point = (rng.randint(-20, 20), rng.randint(-20, 20))
+                assert motion.apply_point(point) == _oracle_motion(
+                    [point], "E", rotation, reflect, shift)[0][0]
 
 
 class TestRegionCounting:
