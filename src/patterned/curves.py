@@ -29,8 +29,8 @@ DEFAULT_EDGE_CAP = 2**20
 
 def _step_indices(vertices) -> List[int]:
     """Heading index of each step of a vertex path; each step must be one unit along an axis."""
-    steps = [(bx - ax, by - ay) for (ax, ay), (bx, by) in zip(vertices, vertices[1:])]
-    indices = list(map(_STEP_INDEX.get, steps))
+    get = _STEP_INDEX.get
+    indices = [get((bx - ax, by - ay)) for (ax, ay), (bx, by) in zip(vertices, vertices[1:])]
     if None in indices:
         i = indices.index(None)
         (ax, ay), (bx, by) = vertices[i], vertices[i + 1]
@@ -62,12 +62,13 @@ class LatticeCurve:
         if turns:
             if len(turns) != len(steps):
                 raise ValueError("turn/segment count mismatch")
-            for t in turns:
-                if t not in _TURN:
-                    raise ValueError(f"turn label must be 'L' or 'R', got {t!r}")
             exits = steps[1:] + [HEADINGS.index(self.final_heading)]
+            turn = _TURN.get
             for h, t, nxt in zip(steps, turns, exits):
-                if nxt != (h + _TURN[t]) % 4:
+                d = turn(t)
+                if d is None:
+                    raise ValueError(f"turn label must be 'L' or 'R', got {t!r}")
+                if nxt != (h + d) % 4:
                     raise ValueError("heading transition inconsistent with turn word")
 
     @property
@@ -137,12 +138,13 @@ def trace(
         raise ValueError(f"start must be an integer point, got {start!r}")
     word = tuple(turns)
     vertices = [(x, y)]
+    append, steps, turn = vertices.append, _STEPS, _TURN.get
     heading = HEADINGS.index(initial_heading)
     for label in word:
-        dx, dy = _STEPS[heading]
+        dx, dy = steps[heading]
         x, y = x + dx, y + dy
-        vertices.append((x, y))
-        heading = (heading + _TURN.get(label, 0)) % 4  # LatticeCurve rejects a bad label
+        append((x, y))
+        heading = (heading + turn(label, 0)) % 4  # LatticeCurve rejects a bad label
     return LatticeCurve(tuple(vertices), word, HEADINGS[heading])
 
 
