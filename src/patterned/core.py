@@ -7,12 +7,14 @@ prime characterization, the L/R turn operator driven by the parity of the
 digit-divisor matches, and a per-number site energy.
 
 Every caller classifies through one numpy block classifier,
-:func:`classify_block`. Two independent scalar implementations of the
-predicate are kept as oracles that tests check it against.
+:func:`classify_block`, and counts come from a digit DP,
+:func:`count_patterned`, that is checked against it. Two independent scalar
+implementations of the predicate are kept as oracles that tests check both
+against; no other code here calls them.
 """
 
 from dataclasses import dataclass
-from math import isqrt
+from math import gcd, isqrt
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -100,6 +102,70 @@ def classify_block(numbers: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         rest, chunk = np.divmod(rest, 1000)
         digits |= _CHUNK_MASKS[chunk]
     return digits, digits & _DIVISOR_MASKS[numbers % 2520]
+
+
+# Counting needs no scan: whether n qualifies depends only on n mod 2520 and
+# the set of its digits, so the qualifying n <= limit are counted digit by
+# digit (the (mod 2520, digit set) DP of Codeforces 55D "Beautiful numbers").
+# The digit 1 divides everything, so once a prefix holds a 1 every completion
+# qualifies, and the tables track digit sets of 2..9 only: 256 columns, bit
+# d - 2 for the digit d. _SUFFIX_COUNTS[k - 1][x // gcd(10^k, 2520), mask]
+# counts the k-digit suffixes s (leading zeros allowed) for which x + s
+# qualifies with the digits of mask added to its own. A prefix before k free
+# digits is a multiple of 10^k, so x is a multiple of that gcd: 252, 126 and
+# then 63 rows. The tables are built as far as a limit needs and kept.
+COUNT_CHECK_LIMIT = 10**6  # count_and_density checks the DP by a scan up to here
+_SET_DIVISORS = (_DIVISOR_MASKS >> 2).astype(np.uint8)  # divisors in 2..9, bit d - 2 for d
+_DIGIT_BITS = (0, 0) + tuple(1 << d - 2 for d in range(2, 10))
+_SUFFIX_COUNTS: List[np.ndarray] = []
+
+
+def _suffix_counts(k: int) -> np.ndarray:
+    """The count table for k free digits, 1 <= k <= 18."""
+    masks = np.arange(256, dtype=np.uint8)
+    while len(_SUFFIX_COUNTS) < k:
+        free = len(_SUFFIX_COUNTS)  # the new table puts one digit before `free` digits
+        step = 10**free
+        x = np.arange(0, 2520, gcd(10 * step, 2520))
+        # counts reach 10 * step; the narrowest type that holds them keeps the
+        # tables small (160 KB for limits below 10^5)
+        total = np.full((x.size, 256), step, dtype=np.min_scalar_type(10 * step))
+        for d in (0, 2, 3, 4, 5, 6, 7, 8, 9):  # total starts with the digit 1's count
+            after, seen = (x + d * step) % 2520, masks | _DIGIT_BITS[d]
+            if free:
+                total += np.take(_SUFFIX_COUNTS[-1][after // gcd(step, 2520)], seen, axis=1)
+            else:
+                total += (_SET_DIVISORS[after, None] & seen) != 0
+        _SUFFIX_COUNTS.append(total)
+    return _SUFFIX_COUNTS[k - 1]
+
+
+def count_patterned(limit: int) -> int:
+    """Number of qualifying n <= limit, exactly, for any limit up to MAX_INT.
+
+    Walks the digits of limit from the top; each smaller digit at a place
+    with k digits after it adds one table count of its completions, at most
+    nine lookups per digit.
+    """
+    _check_positive(limit, "limit")
+    places = str(limit)
+    count, prefix, seen, has_one = 0, 0, 0, False
+    for k in range(len(places) - 1, -1, -1):
+        top = int(places[-k - 1])
+        step = 10**k
+        table = _suffix_counts(k) if k else None
+        for d in range(top + (k == 0)):  # the last place also counts limit itself
+            if has_one or d == 1:
+                count += step
+            elif k:
+                row = (prefix * 10 + d) * step % 2520 // gcd(step, 2520)
+                count += int(table[row, seen | _DIGIT_BITS[d]])
+            else:
+                count += bool((seen | _DIGIT_BITS[d]) & _SET_DIVISORS[(prefix * 10 + d) % 2520])
+        prefix = (prefix * 10 + top) % 2520
+        seen |= _DIGIT_BITS[top]
+        has_one = has_one or top == 1
+    return count
 
 
 def _member_blocks(limit: int) -> Iterator[Tuple[np.ndarray, ...]]:
@@ -282,15 +348,18 @@ def turn_sequence(k: int) -> list:
 def count_and_density(limit: int) -> DensityReport:
     """Count qualifying numbers <= limit and their density.
 
-    The block classifier's count is checked against the scalar divisor-first
-    predicate; disagreement is a bug and raises :class:`InvariantError`.
+    The count is the digit DP's. On every call the DP is checked against the
+    block classifier's scan up to min(limit, COUNT_CHECK_LIMIT); the two share
+    only the divisor table, so disagreement is a bug and raises
+    :class:`InvariantError`.
     """
-    _check_positive(limit, "limit")
-    count = sum(block[0].size for block in _member_blocks(limit))
-    check = sum(1 for n in range(1, limit + 1) if is_patterned_divisor_first(n))
-    if count != check:
+    count = count_patterned(limit)
+    checked = min(limit, COUNT_CHECK_LIMIT)
+    expected = count if checked == limit else count_patterned(checked)
+    scanned = sum(block[0].size for block in _member_blocks(checked))
+    if expected != scanned:
         raise InvariantError(
-            f"predicate implementations disagree at limit {limit}: {count} vs {check}"
+            f"predicate implementations disagree at limit {checked}: {expected} vs {scanned}"
         )
     return DensityReport(limit=limit, count=count, density=count / limit)
 

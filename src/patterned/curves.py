@@ -317,10 +317,11 @@ class RigidMotion:
     translation: Point = (0, 0)
 
     def __post_init__(self):
-        if self.rotation not in _ROTATIONS:
+        if type(self.rotation) is not int or self.rotation not in _ROTATIONS:
             raise ValueError(f"rotation must be one of 0/90/180/270, got {self.rotation}")
-        tx, ty = self.translation
-        if not isinstance(tx, int) or not isinstance(ty, int):
+        if type(self.reflect) is not bool:
+            raise ValueError(f"reflect must be True or False, got {self.reflect!r}")
+        if any(not isinstance(c, int) or isinstance(c, bool) for c in self.translation):
             raise ValueError(f"translation must be an integer vector, got {self.translation!r}")
 
     @property

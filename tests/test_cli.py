@@ -87,6 +87,23 @@ class TestCount:
         assert code == 0
         assert json.loads(out)["claim"] is None
 
+    def test_largest_limit_counts_without_a_scan_past_the_check(self, capsys, monkeypatch):
+        real = core._member_blocks
+
+        def checked_only(limit):
+            assert limit <= core.COUNT_CHECK_LIMIT, f"scan up to {limit}"
+            return real(limit)
+
+        monkeypatch.setattr(core, "_member_blocks", checked_only)
+        code, out, err = run(capsys, "count", "--limit", "9223372036854775807")
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert payload["count"] == 8_966_875_490_664_456_428
+        assert payload["density"] == 8_966_875_490_664_456_428 / (2**63 - 1)
+        code, out, err = run(capsys, "count", "--limit", "9223372036854775808")
+        assert code == 2 and out == ""
+        assert err == "error: limit exceeds the supported width (2**63 - 1)\n"
+
 
 class TestPrimes:
     def test_csv_groups(self, capsys):
@@ -492,7 +509,9 @@ class TestExitCodes:
         capsys.readouterr()
 
     def test_invariant_error_exits_3(self, capsys, monkeypatch):
-        monkeypatch.setattr(core, "is_patterned_divisor_first", lambda n: n != 13)
+        real = core._member_blocks  # a classifier that misses 13
+        monkeypatch.setattr(core, "_member_blocks",
+                            lambda limit: ((b[b != 13],) for b, _, _ in real(limit)))
         with pytest.raises(InvariantError):
             core.count_and_density(20)
         code, out, err = run(capsys, "count", "--limit", "20")

@@ -378,6 +378,143 @@ class TestBlockClassifier:
     def test_count_cross_check_raises_on_disagreement(self, monkeypatch):
         from patterned.errors import InvariantError
 
-        monkeypatch.setattr(core, "is_patterned_divisor_first", lambda n: n != 13)
-        with pytest.raises(InvariantError, match="disagree at limit 20"):
-            count_and_density(20)
+        monkeypatch.setattr(core, "count_patterned", lambda limit: limit)
+        with pytest.raises(InvariantError, match="disagree at limit 23: 23 vs 22"):
+            count_and_density(23)
+        with pytest.raises(InvariantError, match="disagree at limit 1000000: 1000000 vs 8"):
+            count_and_density(MAX_INT)
+
+
+def classifier_counts(limits):
+    """The block classifier's cumulative counts at ascending limits, scanned
+    in chunks of 10^6 numbers."""
+    limits = np.array(limits)
+    counts, done = np.zeros(len(limits), dtype=np.int64), 0
+    for low in range(1, int(limits[-1]) + 1, 10**6):
+        high = min(low + 10**6 - 1, int(limits[-1]))
+        running = done + np.cumsum(classify_block(np.arange(low, high + 1))[1] != 0)
+        inside = (limits >= low) & (limits <= high)
+        counts[inside] = running[limits[inside] - low]
+        done = int(running[-1])
+    return counts.tolist()
+
+
+_SMALL_DIVISORS = np.array([sum(1 << d - 2 for d in range(2, 10) if r % d == 0)
+                            for r in range(2520)])
+_QUALIFIES = (_SMALL_DIVISORS[:, None] & np.arange(256)) != 0  # [n mod 2520, digit set]
+_HALF = np.arange(126)
+
+
+def _bit(d):
+    """The digit d's bit in a set of digits 2..9."""
+    return 1 << d - 2 if d > 1 else 0
+
+
+def _with_digit(table, d):
+    """``table`` with the digit d appended to every prefix: set s moves to s | bit."""
+    if d == 0:
+        return table
+    bit = _bit(d)
+    split = table.reshape(len(table), 128 // bit, 2, bit)
+    moved = np.zeros_like(split)
+    np.add(split[:, :, 0], split[:, :, 1], out=moved[:, :, 1])
+    return moved.reshape(table.shape)
+
+
+def forward_count(limits, weights=(1,), modulus=None):
+    """sum(w * #{qualifying n <= limit}) over limits and weights, modulo
+    ``modulus`` if given: a forward digit DP, the second oracle of
+    :func:`core.count_patterned`, sharing none of its code.
+
+    Reads the limits, zero-padded to one width, from the top digit down.
+    ``below[r, s]`` holds the weighted count of the prefixes already below
+    their limit's prefix of the same length, by value r mod 252 and set s of
+    their digits 2..9 (bit d - 2); ``ones`` holds those with a 1, which
+    qualifies them whatever follows. Appending a digit needs only a
+    prefix's value mod 252, since 10 * 252 = 2520 = lcm(1..9), so the table
+    is folded to 252 rows per digit, except after the last digit, where the
+    value mod 2520 decides. Weights let one pass check many limits at once.
+    """
+    width = len(str(max(limits)))
+    tight = [[0, 0, False, w] for w in weights]  # each limit's own prefix: value, set, 1
+    below, ones = np.zeros((252, 256), dtype=np.int64), 0
+    for i in range(width):
+        last = i == width - 1
+        ones = 10 * ones + int(below.sum())  # appending a 1 to any prefix
+        if last:
+            grown = np.zeros((252, 10, 256), dtype=np.int64)  # row 10 r + d
+            for d in (0, 2, 3, 4, 5, 6, 7, 8, 9):
+                grown[:, d] = _with_digit(below, d)
+            grown = grown.reshape(2520, 256)
+        else:
+            half = below[:126] + below[126:]  # rows r and r + 126 grow alike
+            grown = np.zeros((252, 256), dtype=np.int64)
+            for d in (0, 2, 3, 4, 5, 6, 7, 8, 9):
+                grown[(10 * _HALF + d) % 252] += _with_digit(half, d)
+        for limit, state in zip(limits, tight):
+            value, digit_set, has_one, w = state
+            top = int(str(limit).zfill(width)[i])
+            for d in range(top):
+                if has_one or d == 1:
+                    ones += w
+                else:
+                    grown[(10 * value + d) % len(grown), digit_set | _bit(d)] += w
+            state[:3] = (10 * value + top) % 2520, digit_set | _bit(top), has_one or top == 1
+        below = grown % modulus if modulus else grown
+        ones = ones % modulus if modulus else ones
+    total = ones + int(below[_QUALIFIES].sum())
+    for value, digit_set, has_one, w in tight:  # each limit itself
+        total += w * (has_one or bool(digit_set & _SMALL_DIVISORS[value]))
+    return total % modulus if modulus else total
+
+
+class TestCountDP:
+    def test_every_limit_to_1e5_and_every_997th_to_1e7(self):
+        limits = list(range(1, 10**5 + 1)) + list(range(10**5 + 997, 10**7 + 1, 997))
+        assert [core.count_patterned(n) for n in limits] == classifier_counts(limits)
+
+    def test_around_block_boundaries_and_powers_of_ten(self):
+        centres = block_boundaries(10**7) + [10**j for j in range(1, 8)]
+        limits = sorted({c + o for c in centres for o in range(-3, 4)})
+        assert len(limits) > 100
+        assert [core.count_patterned(n) for n in limits] == classifier_counts(limits)
+
+    def test_forward_dp_agrees_to_the_largest_int(self):
+        limits = [10**j + o for j in range(1, 19) for o in (-3, -1, 0, 1, 3)] + [MAX_INT]
+        assert [core.count_patterned(n) for n in limits] == [forward_count([n]) for n in limits]
+
+    def test_forward_dp_agrees_at_random_limits(self):
+        # A forward pass per limit takes about 20 ms, so the 2,000 limits
+        # are checked in one pass, each with its own random weight modulo a
+        # prime: one wrong count changes the weighted sum.
+        import random
+
+        rng = random.Random(2520)
+        prime = 2**42 - 11  # keeps every table sum below 2**63
+        limits = [rng.randrange(1, MAX_INT + 1) for _ in range(2000)]
+        weights = [rng.randrange(1, prime) for _ in limits]
+        expected = sum(w * core.count_patterned(n) for n, w in zip(limits, weights)) % prime
+        assert forward_count(limits, weights, prime) == expected
+        for n in limits[:20]:
+            assert forward_count([n]) == core.count_patterned(n)
+
+    def test_pinned_counts(self):
+        assert core.count_patterned(10**12) == 932_113_080_564
+        assert core.count_patterned(10**18) == 967_997_194_404_428_276
+        assert core.count_patterned(MAX_INT) == 8_966_875_490_664_456_428
+        assert count_and_density(10**18).density == 0.967997194404428276
+
+    def test_tables_built_only_as_far_as_the_limit_needs(self, monkeypatch):
+        monkeypatch.setattr(core, "_SUFFIX_COUNTS", [])
+        assert core.count_patterned(99_999) == classifier_counts([99_999])[0]
+        assert [t.shape for t in core._SUFFIX_COUNTS] == [(252, 256), (126, 256), (63, 256),
+                                                          (63, 256)]
+        assert sum(t.nbytes for t in core._SUFFIX_COUNTS) == 161_280
+        core.count_patterned(MAX_INT)
+        assert [t.dtype for t in core._SUFFIX_COUNTS] == (
+            [np.uint8] * 2 + [np.uint16] * 2 + [np.uint32] * 5 + [np.uint64] * 9)
+
+    def test_rejects_bad_limits(self):
+        for bad in (0, -5, MAX_INT + 1, 1.0, True):
+            with pytest.raises(ValueError):
+                core.count_patterned(bad)

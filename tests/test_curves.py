@@ -408,6 +408,21 @@ class TestRigidMotion:
         with pytest.raises(ValueError):
             RigidMotion(translation=(0.5, 0))
 
+    @pytest.mark.parametrize("rotation", [90.0, True, "90", None])
+    def test_rejects_non_int_rotation(self, rotation):
+        with pytest.raises(ValueError, match="rotation must be one of 0/90/180/270"):
+            RigidMotion(rotation=rotation)
+
+    @pytest.mark.parametrize("reflect", ["no", 0, 1, None, np.bool_(True)])
+    def test_rejects_non_bool_reflect(self, reflect):
+        with pytest.raises(ValueError, match="reflect must be True or False"):
+            RigidMotion(reflect=reflect)
+
+    @pytest.mark.parametrize("translation", [(True, 0), (0, False), (np.int64(1), 0)])
+    def test_rejects_bool_or_non_int_translation(self, translation):
+        with pytest.raises(ValueError, match="translation must be an integer vector"):
+            RigidMotion(translation=translation)
+
 
 class TestApplyMotion:
     def test_identity(self):
