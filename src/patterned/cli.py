@@ -32,13 +32,14 @@ CLAIMED_DENSITY_100 = 0.72
 
 # Caps on flags that size a command, checked before it scans or allocates:
 # about 1 GB at 150 bytes per walk site (turns: 67 per member), 450 per dag
-# integer, 7.3 per primes integer and 270 per gen --format json integer;
-# curve --k takes curves.DEFAULT_EDGE_CAP segments, 290 bytes each. gen CSV
-# streams its rows and has no cap.
+# integer, 7.3 per primes integer, 270 per gen --format json integer and 260
+# per sweep s_grid point; curve --k takes curves.DEFAULT_EDGE_CAP segments,
+# 290 bytes each. gen CSV streams its rows and has no cap.
 MAX_MEMBERS = 6_000_000
 MAX_DAG_LIMIT = 2_000_000
 MAX_PRIMES_LIMIT = 130_000_000
 MAX_GEN_JSON_LIMIT = 3_500_000
+MAX_S_GRID_POINTS = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -173,7 +174,10 @@ def _seed_turns(cfg: RunConfig) -> List[str]:
 
 def _parse_motions(value) -> List[curves.RigidMotion]:
     if isinstance(value, str):
-        value = json.loads(value)
+        try:
+            value = json.loads(value)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"placements must be valid JSON: {exc}") from None
     if not isinstance(value, list) or not value:
         raise ValueError("placements must be a non-empty JSON list of motions")
     motions = []
@@ -202,17 +206,23 @@ def _parse_motions(value) -> List[curves.RigidMotion]:
 def _parse_s_grid(grid: str) -> List[float]:
     """Either comma-separated values or 'start:stop:count' (inclusive)."""
     if ":" in grid:
-        parts = grid.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"s_grid range must be start:stop:count, got {grid!r}")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        try:
+            start, stop, count = grid.split(":")
+            start, stop, count = float(start), float(stop), int(count)
+        except ValueError:
+            raise ValueError(f"s_grid range must be start:stop:count, got {grid!r}") from None
         if count < 2:
             raise ValueError("s_grid range needs at least 2 points")
+        if count > MAX_S_GRID_POINTS:
+            raise ResourceLimitError(f"s_grid must be <= {MAX_S_GRID_POINTS} points, got {count}")
         return [float(v) for v in np.linspace(start, stop, count)]
     try:
-        return [float(v) for v in grid.split(",") if v.strip() != ""]
+        values = [float(v) for v in grid.split(",") if v.strip() != ""]
     except ValueError as exc:
         raise ValueError(f"bad s_grid value in {grid!r}") from exc
+    if not values:
+        raise ValueError(f"s_grid must hold at least one value, got {grid!r}")
+    return values
 
 
 def _chain_sites(cfg: RunConfig, cap: int) -> int:

@@ -5,6 +5,8 @@ rewrites (node, coin) to (next node, turn label), ignoring the incoming coin,
 and its geometric trajectory must reproduce the traced curve. The coined walk
 is a proper unitary: a per-site coin rotation whose angle is selected by the
 site's turn label, followed by a coin-conditioned shift with reflecting ends.
+Both walk entries check their input once and step bare arrays through one
+kernel; ``run_walk`` checks the norm once, after the last step.
 
 Oscillator physics is computed entirely in the single-excitation sector,
 where the interpolated chain Hamiltonian is a real symmetric tridiagonal
@@ -25,7 +27,7 @@ from .core import (
     site_energies,
     turn_sequence,
 )
-from .errors import ConvergenceError, ResourceLimitError
+from .errors import ConvergenceError, InvariantError, ResourceLimitError
 from .tridiag import SymTridiag, eigh_tridiagonal
 
 NORM_TOL = 1e-8
@@ -135,6 +137,24 @@ def deterministic_walk(
 # coined unitary walk
 # ---------------------------------------------------------------------------
 
+def _coin_cos_sin(coins: CoinSpec, turns: Sequence[str]) -> Tuple[np.ndarray, np.ndarray]:
+    theta = np.array([coins.theta_L if t == TURN_LEFT else coins.theta_R for t in turns])
+    return np.cos(theta), np.sin(theta)
+
+
+def _step_amplitudes(amp, cos_t, sin_t, reflecting: bool) -> np.ndarray:
+    a_l, a_r = amp[:, 0], amp[:, 1]
+    rot_l = cos_t * a_l - sin_t * a_r
+    rot_r = sin_t * a_l + cos_t * a_r
+    out = np.zeros_like(amp)
+    out[:-1, 0] = rot_l[1:]
+    out[1:, 1] = rot_r[:-1]
+    if reflecting:
+        out[0, 1] += rot_l[0]
+        out[-1, 0] += rot_r[-1]
+    return out
+
+
 def unitary_walk_step(
     state: WalkState,
     coins: CoinSpec,
@@ -156,22 +176,8 @@ def unitary_walk_step(
         raise ValueError(f"need one turn label per position ({n}), got {len(turns)}")
     if boundary == BOUNDARY_REFLECTING and not abs(state.norm() - 1.0) <= NORM_TOL:
         raise ValueError(f"state norm {state.norm():.3e} is not 1 within {NORM_TOL:.0e}")
-
-    theta = np.array(
-        [coins.theta_L if t == TURN_LEFT else coins.theta_R for t in turns]
-    )
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    a_l = state.amplitudes[:, 0]
-    a_r = state.amplitudes[:, 1]
-    rot_l = cos_t * a_l - sin_t * a_r
-    rot_r = sin_t * a_l + cos_t * a_r
-
-    out = np.zeros_like(state.amplitudes)
-    out[: n - 1, 0] = rot_l[1:]
-    out[1:, 1] = rot_r[: n - 1]
-    if boundary == BOUNDARY_REFLECTING:
-        out[0, 1] += rot_l[0]
-        out[n - 1, 0] += rot_r[n - 1]
+    cos_t, sin_t = _coin_cos_sin(coins, turns)
+    out = _step_amplitudes(state.amplitudes, cos_t, sin_t, boundary == BOUNDARY_REFLECTING)
     return WalkState(amplitudes=out, step_count=state.step_count + 1)
 
 
@@ -186,7 +192,9 @@ def run_walk(
     """Repeated coined-walk steps on the chain of the first N qualifying numbers.
 
     Returns the position probability distribution per step as an array of
-    shape (steps + 1, N); row 0 is the initial distribution.
+    shape (steps + 1, N); row 0 is the initial distribution. The arguments are
+    checked before any work, the steps are not; on the reflecting boundary a row
+    norm further than NORM_TOL from 1 then raises ``InvariantError``.
     """
     if n_positions < 2:
         raise ValueError(f"sites must be >= 2 for a walk, got {n_positions}")
@@ -200,13 +208,24 @@ def run_walk(
     for name, theta in (("theta_l", coins.theta_L), ("theta_r", coins.theta_R)):
         if not math.isfinite(theta):
             raise ValueError(f"{name} must be finite, got {theta}")
+    if boundary not in (BOUNDARY_REFLECTING, BOUNDARY_ABSORBING):
+        raise ValueError(f"boundary must be 'reflecting' or 'absorbing', got {boundary!r}")
+    if not 1 <= initial_site <= n_positions:
+        raise ValueError(f"initial_site must be in 1..{n_positions}, got {initial_site}")
+    if initial_coin not in (TURN_LEFT, TURN_RIGHT):
+        raise ValueError(f"initial_coin must be 'L' or 'R', got {initial_coin!r}")
     turns = turn_sequence(n_positions)
-    state = localized_state(n_positions, initial_site, initial_coin)
+    cos_t, sin_t = _coin_cos_sin(coins, turns)
+    reflecting = boundary == BOUNDARY_REFLECTING
+    amp = localized_state(n_positions, initial_site, initial_coin).amplitudes
     series = np.empty((steps + 1, n_positions))
-    series[0] = state.position_distribution()
+    series[0] = np.sum(np.abs(amp) ** 2, axis=1)
     for i in range(1, steps + 1):
-        state = unitary_walk_step(state, coins, turns, boundary=boundary)
-        series[i] = state.position_distribution()
+        amp = _step_amplitudes(amp, cos_t, sin_t, reflecting)
+        series[i] = np.sum(np.abs(amp) ** 2, axis=1)
+    drift = np.max(np.abs(np.sqrt(series.sum(axis=1)) - 1.0)) if reflecting else 0.0
+    if not drift <= NORM_TOL:
+        raise InvariantError(f"walk norm drifted from 1 by {drift:.3e}, over {NORM_TOL:.0e}")
     return series
 
 
@@ -276,6 +295,11 @@ def patterned_chain(
         raise ValueError(f"sites must be >= 1, got {n_sites}")
     if omega_mode not in (OMEGA_FROM_ENERGY, OMEGA_CONSTANT):
         raise ValueError(f"omega_mode must be 'energy' or 'constant', got {omega_mode!r}")
+    for name, value in (("g_l", g_L), ("g_r", g_R)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if omega_mode == OMEGA_CONSTANT and not (math.isfinite(omega) and omega > 0):
+        raise ValueError(f"omega must be finite and > 0, got {omega}")
     members = scan_members(k=n_sites)
     if omega_mode == OMEGA_FROM_ENERGY:
         omegas = tuple(site_energies(members, alpha, beta)[0])

@@ -309,6 +309,12 @@ class TestTessellate:
         assert f"placements[1] {key} must be" in err and value in err
         assert not out_file.exists()
 
+    def test_placements_not_json_names_the_flag(self, capsys):
+        code, out, err = run(capsys, "tessellate", "--word", "LLR", "--placements", "[1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: placements must be valid JSON: ")
+        assert err.count("\n") == 1
+
     def test_reflect_false_does_not_reflect(self, capsys):
         outputs = [
             run(capsys, "tessellate", "--word", "LLR", "--placements", placements)
@@ -373,6 +379,37 @@ class TestWalk:
         assert code == 2 and out == ""
         assert err.startswith("error: steps must keep ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("steps", ["0", "1"])
+    def test_unknown_boundary_from_config_names_boundary(self, capsys, tmp_path, steps):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"boundary": "periodic"}))
+        code, out, err = run(capsys, "walk", "--sites", "3", "--steps", steps,
+                             "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err == "error: boundary must be 'reflecting' or 'absorbing', got 'periodic'\n"
+
+    def test_initial_site_out_of_range_names_the_flag(self, capsys):
+        code, out, err = run(capsys, "walk", "--sites", "5", "--initial-site", "9")
+        assert code == 2 and out == ""
+        assert err == "error: initial_site must be in 1..5, got 9\n"
+
+    def test_initial_coin_from_config_names_the_key(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"initial_coin": "X"}))
+        code, out, err = run(capsys, "walk", "--sites", "5", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err == "error: initial_coin must be 'L' or 'R', got 'X'\n"
+
+    def test_norm_drift_exits_3(self, capsys, monkeypatch, tmp_path):
+        real = dynamics._step_amplitudes
+        monkeypatch.setattr(dynamics, "_step_amplitudes", lambda *a: 1.001 * real(*a))
+        out_file = tmp_path / "walk.csv"
+        code, out, err = run(capsys, "walk", "--sites", "5", "--steps", "3",
+                             "--out", str(out_file))
+        assert code == 3 and out == ""
+        assert err.startswith("internal error: walk norm drifted") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestModes:
     def test_spectrum_rows(self, capsys):
@@ -394,6 +431,16 @@ class TestModes:
             )
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--g-l", "nan"), "g_l must be finite, got nan"),
+        (("--g-r", "inf"), "g_r must be finite, got inf"),
+        (("--omega-mode", "constant", "--omega", "-1"), "omega must be finite and > 0, got -1.0"),
+    ])
+    def test_bad_coupling_or_omega_names_the_flag(self, capsys, argv, message):
+        code, out, err = run(capsys, "modes", "--sites", "4", *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
 
 
 class TestSweep:
@@ -417,6 +464,32 @@ class TestSweep:
     def test_bad_grid_rejected(self, capsys):
         code, _, err = run(capsys, "sweep", "--sites", "4", "--s-grid", "0:1")
         assert code == 2
+
+    @pytest.mark.parametrize("grid", ["0:1:x", "0:y:5", "0:1:5.0"])
+    def test_unparsable_range_names_s_grid(self, capsys, grid):
+        code, out, err = run(capsys, "sweep", "--sites", "4", "--s-grid", grid)
+        assert code == 2 and out == ""
+        assert err == f"error: s_grid range must be start:stop:count, got {grid!r}\n"
+
+    @pytest.mark.parametrize("grid", [",", "", " , "])
+    def test_empty_grid_rejected(self, capsys, grid):
+        code, out, err = run(capsys, "sweep", "--sites", "4", "--s-grid", grid)
+        assert code == 2 and out == ""
+        assert err == f"error: s_grid must hold at least one value, got {grid!r}\n"
+
+    def test_range_count_capped_before_allocation(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.np, "linspace", _no_work)
+        monkeypatch.setattr(dynamics, "adiabatic_sweep", _no_work)
+        for count in (cli.MAX_S_GRID_POINTS + 1, 10**15):
+            code, out, err = run(capsys, "sweep", "--sites", "4", "--s-grid", f"0:1:{count}")
+            assert code == 2 and out == ""
+            assert err == f"error: s_grid must be <= {cli.MAX_S_GRID_POINTS} points, got {count}\n"
+
+    def test_range_count_cap_is_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_S_GRID_POINTS", 3)
+        assert len(run(capsys, "sweep", "--sites", "4", "--s-grid", "0:1:3")[1].splitlines()) == 4
+        code, _, err = run(capsys, "sweep", "--sites", "4", "--s-grid", "0:1:4")
+        assert code == 2 and err == "error: s_grid must be <= 3 points, got 4\n"
 
 
 class TestConfig:

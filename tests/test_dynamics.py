@@ -29,7 +29,7 @@ from patterned.dynamics import (
     run_walk,
     unitary_walk_step,
 )
-from patterned.errors import ResourceLimitError
+from patterned.errors import InvariantError, ResourceLimitError
 from patterned.tridiag import SymTridiag, eigh_tridiagonal
 
 
@@ -240,6 +240,45 @@ class TestRunWalk:
         assert calls == [1000]
 
 
+class TestWalkEntries:
+    """``run_walk`` and ``unitary_walk_step`` share one kernel and check at entry."""
+
+    @pytest.mark.parametrize("boundary", ["reflecting", BOUNDARY_ABSORBING])
+    @pytest.mark.parametrize("coins", [CoinSpec(), CoinSpec(0.3, -1.1)])
+    @pytest.mark.parametrize("n, site, coin", [(7, 4, "L"), (12, 6, "R")])
+    def test_run_walk_equals_repeated_steps(self, boundary, coins, n, site, coin):
+        steps = 40
+        series = run_walk(n, steps, coins=coins, initial_site=site, initial_coin=coin,
+                          boundary=boundary)
+        state, turns = localized_state(n, site, coin), turn_sequence(n)
+        rows = [state.position_distribution()]
+        for _ in range(steps):
+            state = unitary_walk_step(state, coins, turns, boundary=boundary)
+            rows.append(state.position_distribution())
+        assert series.tobytes() == np.array(rows).tobytes()
+
+    @pytest.mark.parametrize("steps", [0, 1])
+    def test_unknown_boundary_named_before_any_work(self, monkeypatch, steps):
+        monkeypatch.setattr(dynamics, "turn_sequence", lambda n: 1 / 0)
+        with pytest.raises(ValueError, match="^boundary must be 'reflecting' or 'absorbing', "
+                                             "got 'periodic'$"):
+            run_walk(3, steps, boundary="periodic")
+
+    def test_initial_site_and_coin_named(self):
+        with pytest.raises(ValueError, match=r"^initial_site must be in 1\.\.5, got 9$"):
+            run_walk(5, 1, initial_site=9)
+        with pytest.raises(ValueError, match="^initial_coin must be 'L' or 'R', got 'X'$"):
+            run_walk(5, 1, initial_coin="X")
+
+    def test_norm_drift_raises_invariant_error(self, monkeypatch):
+        real = dynamics._step_amplitudes
+        monkeypatch.setattr(dynamics, "_step_amplitudes", lambda *a: 1.001 * real(*a))
+        with pytest.raises(InvariantError, match="walk norm drifted from 1 by 1.000e-03"):
+            run_walk(5, 1)
+        # an absorbing walk loses norm by design, so it is not checked
+        assert run_walk(5, 3, boundary=BOUNDARY_ABSORBING).shape == (4, 5)
+
+
 class TestEnergyLandscape:
     def test_zero_weights(self):
         assert energy_landscape(50, alpha=0.0, beta=0.0) == [0.0] * len(
@@ -290,6 +329,19 @@ class TestOscillatorChain:
     def test_patterned_chain_constant_omegas(self):
         chain = patterned_chain(5, g_L=1.0, g_R=1.0, omega_mode="constant", omega=2.5)
         assert chain.omegas == (2.5,) * 5
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"g_L": float("nan")}, "g_l must be finite, got nan"),
+        ({"g_R": float("inf")}, "g_r must be finite, got inf"),
+        ({"omega_mode": "constant", "omega": -1.0}, "omega must be finite and > 0, got -1.0"),
+        ({"omega_mode": "constant", "omega": float("nan")}, "omega must be finite and > 0"),
+    ])
+    def test_rejects_bad_couplings_and_omega_by_name(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            patterned_chain(5, **{"g_L": 1.0, "g_R": 1.0, **kwargs})
+
+    def test_omega_unused_in_energy_mode(self):
+        assert patterned_chain(5, 1.0, 1.0, omega=-1.0) == patterned_chain(5, 1.0, 1.0)
 
     def test_rejects_unknown_omega_mode(self):
         with pytest.raises(ValueError):
