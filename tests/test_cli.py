@@ -174,6 +174,37 @@ class TestCurve:
         assert "word" in err
 
 
+WORD_300 = (
+    "LRLLRRRLLLLRLRLRRLRRRRRLRLRRRLRLRRRRLRRLRRRRRRLLLLLRRLRLLRRRRRRRRLRRLLLRRRLRRRRR"
+    "LRRRLRRRLRRLRRRLLRLRLLLRLLLLLRRLLRRLLRLRLRLLRRRLLRLLRLLRRLLRRRRRLRRLLLRRRLLRLLLL"
+    "LRLRLLLLLLRRRRLRRLRLRRRRRRLRRRLRLLLLLRRRLLRLRLLRLRRLLRLRLLLRLLRRLRRLRRLLRRRLLLLL"
+    "RLLRRRLRRLRRLRRRRRLRLRRRLRRRLRLLLLLLLLRRLRLRRRRLRLLLLRRLLLLR"
+)
+# all four rotations, a reflection, negative shifts and a tile overlapping the first
+GOLDEN_PLACEMENTS = json.dumps([
+    {"rotation": 0},
+    {"rotation": 90, "translation": [-7, 3]},
+    {"rotation": 180, "reflect": True, "translation": [5, -9]},
+    {"rotation": 270, "translation": [-12, -4]},
+    {"rotation": 0, "translation": [0, -1]},
+])
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("dragon_llr_g8", ("dragon", "--word", "LLR", "--generations", "8")),
+    ("curve_w300_unit01", ("curve", "--word", WORD_300, "--unit", "0.1")),
+    ("tessellate_w40", ("tessellate", "--word", "RRRRLLLLRRRLLLRLLLRRLRRLRRRRRRLLRLRLRRLL",
+                        "--placements", GOLDEN_PLACEMENTS)),
+])
+def test_curve_goldens(capsys, tmp_path, name, argv):
+    """The --out SVG and the stdout statistics, byte for byte."""
+    out_file = tmp_path / "out.svg"
+    code, out, err = run(capsys, *argv, "--out", str(out_file))
+    assert (code, err) == (0, "")
+    assert out_file.read_bytes() == (GOLDENS / f"{name}.svg").read_bytes()
+    assert out.encode() == (GOLDENS / f"{name}.json").read_bytes()
+
+
 class TestSeahorseScan:
     def test_scan_finds_the_two_pinwheels(self, capsys):
         code, out, _ = run(capsys, "seahorse-scan", "--max-len", "12")
