@@ -33,8 +33,8 @@ CLAIMED_DENSITY_100 = 0.72
 # Caps on flags that size a command, checked before it scans or allocates:
 # about 1 GB at 150 bytes per walk site (turns: 67 per member), 450 per dag
 # integer, 7.3 per primes integer, 270 per gen --format json integer and 260
-# per sweep s_grid point; curve --k takes curves.DEFAULT_EDGE_CAP segments,
-# 290 bytes each. gen CSV streams its rows and has no cap.
+# per sweep s_grid point; curve --k and dragon --max-edges stop at DEFAULT_EDGE_CAP
+# segments, 175 bytes each. gen CSV streams its rows and has no cap.
 MAX_MEMBERS = 6_000_000
 MAX_DAG_LIMIT = 2_000_000
 MAX_PRIMES_LIMIT = 130_000_000
@@ -216,6 +216,9 @@ def _parse_s_grid(grid: str) -> List[float]:
         if count > MAX_S_GRID_POINTS:
             raise ResourceLimitError(f"s_grid must be <= {MAX_S_GRID_POINTS} points, got {count}")
         return [float(v) for v in np.linspace(start, stop, count)]
+    count = grid.count(",") + 1
+    if count > MAX_S_GRID_POINTS:
+        raise ResourceLimitError(f"s_grid must be <= {MAX_S_GRID_POINTS} points, got {count}")
     try:
         values = [float(v) for v in grid.split(",") if v.strip() != ""]
     except ValueError as exc:
@@ -349,6 +352,9 @@ def _cmd_seahorse_scan(cfg: RunConfig) -> int:
 
 
 def _cmd_dragon(cfg: RunConfig) -> int:
+    if cfg.max_edges < 1:
+        raise ValueError(f"max_edges must be >= 1, got {cfg.max_edges}")
+    _require(cfg, "max_edges", curves.DEFAULT_EDGE_CAP)
     seed = curves.trace(_seed_turns(cfg))
     grown = curves.iterate_dragon(seed, cfg.generations, max_edges=cfg.max_edges)
     stats = _curve_stats_payload(grown)

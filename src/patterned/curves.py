@@ -1,17 +1,19 @@
 """Axis-aligned lattice curves driven by L/R turn words.
 
 A turn word is traced as a turtle path on the integer grid: advance one unit,
-then rotate the heading 90 degrees left or right. The module also provides
-planar statistics (two independent bounded-region counters), the seahorse
-classification, rigid motions of the lattice, the curve-doubling iteration,
-and tessellations built from rigid-motion copies.
+then rotate the heading 90 degrees left or right. A curve is one read-only
+int64 array of its vertices, built and checked by array operations. The module
+also provides planar statistics (two independent bounded-region counters), the
+seahorse classification, rigid motions of the lattice, the curve-doubling
+iteration, and tessellations built from rigid-motion copies.
 """
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import product
-from operator import index
+from itertools import groupby, product, repeat
 from typing import Iterable, List, Tuple
+
+import numpy as np
 
 from .core import TURN_LEFT, TURN_RIGHT
 from .errors import ResourceLimitError
@@ -20,80 +22,102 @@ Point = Tuple[int, int]
 
 HEADINGS = ("E", "N", "W", "S")
 _STEPS = ((1, 0), (0, 1), (-1, 0), (0, -1))  # unit step of each heading
-_STEP_INDEX = {step: i for i, step in enumerate(_STEPS)}
+_STEP_ARRAY = np.array(_STEPS, dtype=np.int64)
+# at [dx + 1, dy + 1] of a step clipped to -1..2: its heading, or -1 if not a unit step
+_HEADING_OF_STEP = np.full((4, 4), -1)
+_HEADING_OF_STEP[_STEP_ARRAY[:, 0] + 1, _STEP_ARRAY[:, 1] + 1] = range(4)
 _TURN = {TURN_LEFT: 1, TURN_RIGHT: 3}  # added to the heading index, mod 4
+_MIRROR = str.maketrans(TURN_LEFT + TURN_RIGHT, TURN_RIGHT + TURN_LEFT)
 
 # Cap on curve size for the doubling iteration (design default, overridable).
 DEFAULT_EDGE_CAP = 2**20
 
 
-def _step_indices(vertices) -> List[int]:
-    """Heading index of each step of a vertex path; each step must be one unit along an axis."""
-    get = _STEP_INDEX.get
-    indices = [get((bx - ax, by - ay)) for (ax, ay), (bx, by) in zip(vertices, vertices[1:])]
-    if None in indices:
-        i = indices.index(None)
-        (ax, ay), (bx, by) = vertices[i], vertices[i + 1]
-        raise ValueError(f"non-unit step ({ax},{ay})->({bx},{by})")
-    return indices
+def _step_headings(path: np.ndarray) -> np.ndarray:
+    """Heading index of each step of a path, or -1 for a step that is not one axis unit."""
+    steps = np.maximum(np.minimum(path[1:] - path[:-1], 2), -1) + 1
+    return _HEADING_OF_STEP[steps[:, 0], steps[:, 1]]
 
 
-@dataclass(frozen=True)
+def _turn_codes(turns: Tuple[str, ...]) -> np.ndarray:
+    """The heading change of each turn label, or 0 for a label other than L and R."""
+    return np.fromiter(map(_TURN.get, turns, repeat(0)), np.int64, len(turns))
+
+
+@dataclass(frozen=True, eq=False)
 class LatticeCurve:
     """Ordered unit-step path on the integer grid.
 
-    ``final_heading`` is the exit heading after the last turn, kept so curves
-    can be iterated or composed. ``source_turns`` is empty for geometrically
-    built curves. Every curve is checked here, once: the builders compute no
-    headings, and ``headings`` is derived from the vertex steps.
+    ``path`` is the curve: its n + 1 vertices as one read-only ``(n + 1, 2)``
+    int64 array. ``final_heading`` is the exit heading after the last turn,
+    kept so curves can be iterated or composed. ``source_turns`` is empty for
+    geometrically built curves. Every curve is checked here, once: the
+    builders compute no headings. ``vertices``, ``headings``, ``start``,
+    ``end`` and ``edge_set()`` are views derived from ``path`` on each read.
+    Two curves are equal when their paths, turn words and exit headings are.
     """
 
-    vertices: Tuple[Point, ...]
+    path: np.ndarray
     source_turns: Tuple[str, ...]
     final_heading: str
 
     def __post_init__(self):
-        if not self.vertices:
+        path = np.asarray(self.path)
+        if not len(path):
             raise ValueError("a curve needs at least one vertex")
+        if path.dtype != np.int64 or path.shape[1:] != (2,):
+            raise ValueError(f"path must be (n + 1, 2) int64, got {path.shape} {path.dtype}")
         if self.final_heading not in HEADINGS:
             raise ValueError(f"bad final heading {self.final_heading!r}")
-        steps = _step_indices(self.vertices)
+        steps = _step_headings(path)
+        if (steps < 0).any():
+            i = int(np.argmin(steps))
+            (ax, ay), (bx, by) = path[i:i + 2].tolist()
+            raise ValueError(f"non-unit step ({ax},{ay})->({bx},{by})")
         turns = self.source_turns
         if turns:
             if len(turns) != len(steps):
                 raise ValueError("turn/segment count mismatch")
-            exits = steps[1:] + [HEADINGS.index(self.final_heading)]
-            turn = _TURN.get
-            for h, t, nxt in zip(steps, turns, exits):
-                d = turn(t)
-                if d is None:
-                    raise ValueError(f"turn label must be 'L' or 'R', got {t!r}")
-                if nxt != (h + d) % 4:
-                    raise ValueError("heading transition inconsistent with turn word")
+            codes = _turn_codes(turns)
+            if not codes.all():
+                bad = turns[int(np.argmin(codes))]
+                raise ValueError(f"turn label must be 'L' or 'R', got {bad!r}")
+            exits = np.concatenate((steps[1:], [HEADINGS.index(self.final_heading)]))
+            if ((exits - steps) % 4 != codes).any():
+                raise ValueError("heading transition inconsistent with turn word")
+        object.__setattr__(self, "path", path.view())
+        self.path.flags.writeable = False
+
+    def __eq__(self, other):
+        return isinstance(other, LatticeCurve) and np.array_equal(self.path, other.path) and (
+            self.source_turns, self.final_heading) == (other.source_turns, other.final_heading)
+
+    @property
+    def vertices(self) -> Tuple[Point, ...]:
+        return tuple(map(tuple, self.path.tolist()))
 
     @property
     def headings(self) -> Tuple[str, ...]:
         """One compass heading per segment."""
-        return tuple(HEADINGS[i] for i in _step_indices(self.vertices))
+        return tuple(map(HEADINGS.__getitem__, _step_headings(self.path).tolist()))
 
     @property
     def start(self) -> Point:
-        return self.vertices[0]
+        return tuple(self.path[0].tolist())
 
     @property
     def end(self) -> Point:
-        return self.vertices[-1]
+        return tuple(self.path[-1].tolist())
 
     @property
     def segment_count(self) -> int:
-        return len(self.vertices) - 1
-
-    def edges(self) -> List[Tuple[Point, Point]]:
-        """Traversed unit edges in order, normalized, duplicates kept."""
-        return [_norm_edge(a, b) for a, b in zip(self.vertices, self.vertices[1:])]
+        return len(self.path) - 1
 
     def edge_set(self) -> frozenset:
-        return frozenset(self.edges())
+        """The traversed unit edges, each as its (lower, upper) vertex pair."""
+        ends = self.path[:-1], self.path[1:]
+        lower, upper = np.minimum(*ends).tolist(), np.maximum(*ends).tolist()
+        return frozenset(zip(map(tuple, lower), map(tuple, upper)))
 
 
 @dataclass(frozen=True)
@@ -137,23 +161,15 @@ def trace(
     if not isinstance(x, int) or not isinstance(y, int):
         raise ValueError(f"start must be an integer point, got {start!r}")
     word = tuple(turns)
-    vertices = [(x, y)]
-    append, steps, turn = vertices.append, _STEPS, _TURN.get
-    heading = HEADINGS.index(initial_heading)
-    for label in word:
-        dx, dy = steps[heading]
-        x, y = x + dx, y + dy
-        append((x, y))
-        heading = (heading + turn(label, 0)) % 4  # LatticeCurve rejects a bad label
-    return LatticeCurve(tuple(vertices), word, HEADINGS[heading])
+    # the heading of each step, then the exit one; LatticeCurve rejects a bad label
+    h = np.cumsum(np.concatenate(([HEADINGS.index(initial_heading)], _turn_codes(word)))) % 4
+    path = np.cumsum(np.vstack(([start], _STEP_ARRAY[h[:-1]])), axis=0)
+    return LatticeCurve(path, word, HEADINGS[h[-1]])
 
 
-def _last_step_heading(vertices) -> str:
-    """Exit heading of a curve with no turn word: its last step's, or E."""
-    if len(vertices) < 2:
-        return "E"
-    (ax, ay), (bx, by) = vertices[-2:]
-    return HEADINGS[_STEP_INDEX.get((bx - ax, by - ay), 0)]  # LatticeCurve checks the step
+def _last_step_heading(path: np.ndarray) -> str:
+    """Exit heading of a curve with no turn word: its last step's (LatticeCurve checks it), or E."""
+    return HEADINGS[_step_headings(path[-2:])[0]] if len(path) > 1 else "E"
 
 
 def curve_from_vertices(vertices: Iterable[Point]) -> LatticeCurve:
@@ -162,23 +178,16 @@ def curve_from_vertices(vertices: Iterable[Point]) -> LatticeCurve:
     Coordinates must be integers (numpy integers included); anything else
     raises ``ValueError`` rather than being truncated.
     """
-    verts = []
-    for x, y in vertices:
-        try:
-            verts.append((index(x), index(y)))
-        except TypeError:
-            raise ValueError(f"vertex coordinates must be integers, got ({x!r}, {y!r})") from None
-    return LatticeCurve(tuple(verts), (), _last_step_heading(verts))
+    points = np.array(list(vertices))
+    if points.size and (points.dtype.kind not in "biu" or points.shape[1:] != (2,)):
+        raise ValueError(f"vertex coordinates must be integers in (x, y) pairs, "
+                         f"got {points.dtype} of shape {points.shape}")
+    path = points.astype(np.int64).reshape(-1, 2)
+    return LatticeCurve(path, (), _last_step_heading(path))
 
 
 def max_run_length(labels: Iterable[str]) -> int:
-    best = run = 0
-    prev = None
-    for label in labels:
-        run = run + 1 if label == prev else 1
-        prev = label
-        best = max(best, run)
-    return best
+    return max((len(list(run)) for _, run in groupby(labels)), default=0)
 
 
 def _graph_components(adjacency: dict) -> int:
@@ -275,21 +284,25 @@ def bounded_regions_flood(edges: Iterable[Tuple[Point, Point]]) -> int:
 def curve_stats(curve: LatticeCurve) -> CurveStats:
     """Planar statistics of a curve (regions via the Euler relation).
 
-    A curve is one connected path, so its vertices and edges form a single
-    component and E - V + C needs no component search: C = 1.
+    A curve is one connected path, so E - V + C needs no component search:
+    C = 1. V and E count distinct integer keys. A vertex's key packs its offset
+    from the bounding box's low corner as x * height + y; an edge's is twice
+    its lower end's key, plus one when the edge is horizontal.
     """
-    edge_set = curve.edge_set()
-    xs = [x for x, _ in curve.vertices]
-    ys = [y for _, y in curve.vertices]
-    visits = {}
-    for v in curve.vertices:
-        visits[v] = visits.get(v, 0) + 1
+    path = curve.path
+    low, high = path.min(axis=0), path.max(axis=0)
+    x, y = (path - low).T
+    keys = x * (high[1] - low[1] + 1) + y
+    edge_keys = 2 * np.minimum(keys[:-1], keys[1:]) + (y[1:] == y[:-1])
+    # return_counts also keeps np.unique from importing numpy.ma (16 ms, 1 MB)
+    edges = len(np.unique(edge_keys, return_counts=True)[1])
+    visits = np.unique(keys, return_counts=True)[1]
     return CurveStats(
         segment_count=curve.segment_count,
-        unique_edge_count=len(edge_set),
-        revisited_vertex_count=sum(1 for c in visits.values() if c > 1),
-        bounded_region_count=len(edge_set) - len(visits) + 1,
-        bounding_box=(min(xs), min(ys), max(xs), max(ys)),
+        unique_edge_count=edges,
+        revisited_vertex_count=int(np.count_nonzero(visits > 1)),
+        bounded_region_count=edges - len(visits) + 1,
+        bounding_box=(*low.tolist(), *high.tolist()),
         max_turn_run=max_run_length(curve.source_turns),
     )
 
@@ -305,7 +318,6 @@ def region_count_flood(curve: LatticeCurve) -> int:
 
 # the counterclockwise turn by each rotation, as (a, b, c, d) in RigidMotion.matrix
 _ROTATIONS = {0: (1, 0, 0, 1), 90: (0, -1, 1, 0), 180: (-1, 0, 0, -1), 270: (0, 1, -1, 0)}
-_MIRROR = {TURN_LEFT: TURN_RIGHT, TURN_RIGHT: TURN_LEFT}
 
 
 @dataclass(frozen=True)
@@ -340,16 +352,19 @@ class RigidMotion:
         return (x + self.translation[0], y + self.translation[1])
 
 
+def _moved(path: np.ndarray, matrix: Tuple[int, int, int, int], shift) -> np.ndarray:
+    """The vertices mapped by p -> M p + shift, M given as RigidMotion.matrix."""
+    return path @ np.reshape(matrix, (2, 2)).T + shift
+
+
 def apply_motion(curve: LatticeCurve, motion: RigidMotion) -> LatticeCurve:
     """Transform a curve by a rigid motion; turn chirality flips under reflection."""
-    a, b, c, d = motion.matrix
-    tx, ty = motion.translation
-    vertices = tuple((a * x + b * y + tx, c * x + d * y + ty) for x, y in curve.vertices)
     turns = curve.source_turns
     if motion.reflect:
-        turns = tuple(_MIRROR[t] for t in turns)
-    exit_step = motion.apply_vector(_STEPS[HEADINGS.index(curve.final_heading)])
-    return LatticeCurve(vertices, turns, HEADINGS[_STEP_INDEX[exit_step]])
+        turns = tuple("".join(turns).translate(_MIRROR))
+    dx, dy = motion.apply_vector(_STEPS[HEADINGS.index(curve.final_heading)])
+    path = _moved(curve.path, motion.matrix, motion.translation)
+    return LatticeCurve(path, turns, HEADINGS[_HEADING_OF_STEP[dx + 1, dy + 1]])
 
 
 def iterate_dragon(
@@ -368,19 +383,14 @@ def iterate_dragon(
         raise ValueError(f"generations must be a non-negative integer, got {generations!r}")
     if generations == 0:
         return curve
-    vertices = list(curve.vertices)
+    path, quarter = curve.path, RigidMotion(90).matrix
     for _ in range(generations):
-        if 2 * (len(vertices) - 1) > max_edges:
-            raise ResourceLimitError(
-                f"doubling past {len(vertices) - 1} segments exceeds the "
-                f"cap of {max_edges} edges"
-            )
-        # (x, y) turned a quarter counterclockwise is (-y, x); the shift puts
-        # the turned start on the current end
-        (sx, sy), (ex, ey) = vertices[0], vertices[-1]
-        vx, vy = ex + sy, ey - sx
-        vertices.extend([(vx - y, vy + x) for x, y in vertices[1:]])
-    return LatticeCurve(tuple(vertices), (), _last_step_heading(vertices))
+        if 2 * (len(path) - 1) > max_edges:
+            raise ResourceLimitError(f"doubling past {len(path) - 1} segments exceeds "
+                                     f"the cap of {max_edges} edges")
+        turned = _moved(path, quarter, 0)
+        path = np.concatenate((path, turned[1:] + (path[-1] - turned[0])))
+    return LatticeCurve(path, (), _last_step_heading(path))
 
 
 @dataclass(frozen=True)
@@ -397,57 +407,38 @@ def tessellate(curve: LatticeCurve, placements: Iterable[RigidMotion]) -> Tessel
     tiles = tuple(apply_motion(curve, m) for m in placements)
     if not tiles:
         raise ValueError("tessellate needs at least one placement")
-    union = set()
-    total = 0
-    for tile in tiles:
-        tile_edges = tile.edge_set()
-        total += len(tile_edges)
-        union |= tile_edges
-    return Tessellation(tiles=tiles, edges=frozenset(union), overlap_count=total - len(union))
+    edge_sets = [tile.edge_set() for tile in tiles]
+    union = frozenset().union(*edge_sets)
+    return Tessellation(tiles, union, overlap_count=sum(map(len, edge_sets)) - len(union))
 
 
 # ---------------------------------------------------------------------------
 # seahorse classification
 # ---------------------------------------------------------------------------
 
-def _reflections_sending(s: Point, e: Point):
-    """Lattice reflections that map point s to point e.
+# the lattice reflections, across horizontal, diagonal, vertical and anti-diagonal axes
+_REFLECTIONS = tuple(RigidMotion(r, True).matrix for r in _ROTATIONS)
 
-    Yields involutions restricted to the four lattice-compatible axis
-    families: vertical, horizontal, diagonal (y = x + c), anti-diagonal
-    (x + y = c). For s != e the axis must be the perpendicular bisector of
-    the segment s-e, which fits at most one family.
-    """
-    sx, sy = s
-    ex, ey = e
-    if s == e:
-        yield lambda p: (2 * sx - p[0], p[1])
-        yield lambda p: (p[0], 2 * sy - p[1])
-        c_diag = sy - sx
-        yield lambda p: (p[1] - c_diag, p[0] + c_diag)
-        c_anti = sx + sy
-        yield lambda p: (c_anti - p[1], c_anti - p[0])
-        return
+
+def _reflections_sending(s: Point, e: Point):
+    """Lattice reflections p -> R p + t that map point s to point e, as
+    (a, b, c, d, tx, ty) with R = RigidMotion.matrix: t = e - R s for each
+    reflecting R with (R + I)(e - s) = 0, the condition for an involution.
+    s = e admits all four; s != e at most one, across the bisector of s-e."""
+    (sx, sy), (ex, ey) = s, e
     dx, dy = ex - sx, ey - sy
-    if dy == 0:
-        t = sx + ex
-        yield lambda p: (t - p[0], p[1])
-    elif dx == 0:
-        t = sy + ey
-        yield lambda p: (p[0], t - p[1])
-    elif dx == dy:
-        c = sx + sy + dx
-        yield lambda p: (c - p[1], c - p[0])
-    elif dx == -dy:
-        c = sy - sx - dx
-        yield lambda p: (p[1] - c, p[0] + c)
+    for a, b, c, d in _REFLECTIONS:
+        if (a + 1) * dx + b * dy == 0 == c * dx + (d + 1) * dy:
+            yield a, b, c, d, ex - a * sx - b * sy, ey - c * sx - d * sy
 
 
 def _head_tail_symmetric(edge_set, start: Point, end: Point) -> bool:
     """Whether a lattice reflection sending start to end maps the edge set onto itself."""
     return any(
-        edge_set == {_norm_edge(refl(a), refl(b)) for a, b in edge_set}
-        for refl in _reflections_sending(start, end)
+        edge_set == {_norm_edge((a * x + b * y + tx, c * x + d * y + ty),
+                                (a * u + b * v + tx, c * u + d * v + ty))
+                     for (x, y), (u, v) in edge_set}
+        for a, b, c, d, tx, ty in _reflections_sending(start, end)
     )
 
 

@@ -303,6 +303,9 @@ def patterned_chain(
     members = scan_members(k=n_sites)
     if omega_mode == OMEGA_FROM_ENERGY:
         omegas = tuple(site_energies(members, alpha, beta)[0])
+        if min(omegas) <= 0:
+            raise ValueError(f"alpha {alpha} and beta {beta} give a site energy of "
+                             f"{min(omegas)}; site energies must be positive")
     else:
         omegas = (float(omega),) * n_sites
     turns = tuple(members.turns[:-1])

@@ -10,6 +10,8 @@ import json
 from functools import cache
 from typing import IO, Iterable, Iterator, Sequence, Tuple
 
+import numpy as np
+
 from .core import TURN_OF_PARITY
 from .curves import LatticeCurve, Tessellation
 from .graphs import PatternedDag
@@ -81,10 +83,11 @@ def profile_json_entries(blocks: Iterable[tuple]) -> Iterator[dict]:
 # SVG
 # ---------------------------------------------------------------------------
 
-def _svg_path(points: Sequence[Tuple[int, int]], unit: float) -> str:
-    """Path data of a polyline, formatted by one %-format for all points."""
+def _svg_path(points, unit: float) -> str:
+    """Path data of a polyline of integer points, formatted by one %-format
+    for all of them."""
     path = f"M {REAL} {REAL}" + f" L {REAL} {REAL}" * (len(points) - 1)
-    return path % tuple([c * unit for point in points for c in point])
+    return path % tuple((np.asarray(points) * unit).ravel().tolist())
 
 
 def curves_svg(curves: Sequence[Tuple[str, LatticeCurve]], unit: float = 1.0) -> str:
@@ -98,10 +101,9 @@ def curves_svg(curves: Sequence[Tuple[str, LatticeCurve]], unit: float = 1.0) ->
         raise ValueError("nothing to draw")
     if not unit > 0:
         raise ValueError(f"unit must be positive, got {unit}")
-    xs = [x for _, c in curves for x, _ in c.vertices]
-    ys = [y for _, c in curves for _, y in c.vertices]
-    x0, x1 = min(xs) - 1, max(xs) + 1
-    y0, y1 = min(ys) - 1, max(ys) + 1
+    paths = [curve.path for _, curve in curves]
+    x0, y0 = (np.min([p.min(axis=0) for p in paths], axis=0) - 1).tolist()
+    x1, y1 = (np.max([p.max(axis=0) for p in paths], axis=0) + 1).tolist()
     view = " ".join(REAL % (v * unit) for v in (x0, y0, x1 - x0, y1 - y0))
     # y_svg = (y0 + y1)*unit - y_math*unit keeps flipped content inside the box
     flip = f"translate(0 {REAL % ((y0 + y1) * unit)}) scale(1 -1)"
@@ -110,11 +112,9 @@ def curves_svg(curves: Sequence[Tuple[str, LatticeCurve]], unit: float = 1.0) ->
         f'<g transform="{flip}" fill="none" stroke-width="{REAL % (0.1 * unit)}" '
         'stroke-linecap="square">',
     ]
-    for i, (path_id, curve) in enumerate(curves):
+    for i, ((path_id, _), path) in enumerate(zip(curves, paths)):
         color = SVG_PALETTE[i % len(SVG_PALETTE)]
-        lines.append(
-            f'<path id="{path_id}" stroke="{color}" d="{_svg_path(curve.vertices, unit)}" />'
-        )
+        lines.append(f'<path id="{path_id}" stroke="{color}" d="{_svg_path(path, unit)}" />')
     lines.append("</g>")
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

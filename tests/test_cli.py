@@ -275,6 +275,19 @@ class TestDragon:
         assert code == 2
         assert "cap" in err
 
+    @pytest.mark.parametrize("max_edges", ["0", "-1"])
+    def test_max_edges_must_be_positive(self, capsys, monkeypatch, max_edges):
+        monkeypatch.setattr(curves, "trace", _no_work)
+        code, out, err = run(capsys, "dragon", "--word", "LLR", "--max-edges", max_edges)
+        assert code == 2 and out == ""
+        assert err == f"error: max_edges must be >= 1, got {max_edges}\n"
+
+    def test_max_edges_cap_is_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(curves, "DEFAULT_EDGE_CAP", 24)
+        argv = ("dragon", "--word", "LLR", "--generations", "3", "--max-edges")
+        assert run(capsys, *argv, "24")[0] == 0
+        assert run(capsys, *argv, "25")[2] == "error: max_edges must be <= 24, got 25\n"
+
 
 class TestTessellate:
     PLACEMENTS = json.dumps(
@@ -473,6 +486,16 @@ class TestModes:
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--alpha", "-5"), "alpha -5.0 and beta 0.5 give a site energy of -5.0"),
+        (("--beta", "-50"), "alpha 1.0 and beta -50.0 give a site energy of -49.0"),
+        (("--alpha", "0.5", "--beta", "-0.5"), "alpha 0.5 and beta -0.5 give a site energy of 0.0"),
+    ])
+    def test_non_positive_site_energy_names_alpha_and_beta(self, capsys, argv, message):
+        code, out, err = run(capsys, "modes", "--sites", "5", *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}; site energies must be positive\n"
+
 
 class TestSweep:
     def test_grid_rows(self, capsys):
@@ -521,6 +544,18 @@ class TestSweep:
         assert len(run(capsys, "sweep", "--sites", "4", "--s-grid", "0:1:3")[1].splitlines()) == 4
         code, _, err = run(capsys, "sweep", "--sites", "4", "--s-grid", "0:1:4")
         assert code == 2 and err == "error: s_grid must be <= 3 points, got 4\n"
+
+    def test_list_from_config_capped_before_parsing(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "MAX_S_GRID_POINTS", 3)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"s_grid": "0,0.5,1"}))
+        assert len(run(capsys, "sweep", "--sites", "4", "--config", str(cfg))[1].splitlines()) == 4
+        monkeypatch.setattr(dynamics, "adiabatic_sweep", _no_work)
+        for grid in ("0,0.25,0.5,1", "x,y,z,w"):  # counted, not parsed
+            cfg.write_text(json.dumps({"s_grid": grid}))
+            code, out, err = run(capsys, "sweep", "--sites", "4", "--config", str(cfg))
+            assert code == 2 and out == ""
+            assert err == "error: s_grid must be <= 3 points, got 4\n"
 
 
 class TestConfig:
@@ -691,6 +726,7 @@ class TestSizeCaps:
             (("turns", "--k"), "k", cli.MAX_MEMBERS),
             (("curve", "--k"), "k", curves.DEFAULT_EDGE_CAP),
             (("dragon", "--generations", "2", "--k"), "k", curves.DEFAULT_EDGE_CAP),
+            (("dragon", "--word", "LLR", "--max-edges"), "max_edges", curves.DEFAULT_EDGE_CAP),
             (("tessellate", "--placements", ROTATIONS, "--k"), "k", curves.DEFAULT_EDGE_CAP),
             (("dag", "--limit"), "limit", cli.MAX_DAG_LIMIT),
             (("walk", "--steps", "0", "--limit"), "limit", cli.MAX_MEMBERS),

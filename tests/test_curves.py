@@ -85,7 +85,7 @@ class TestCurveValidation:
 
     def test_no_vertices_rejected(self):
         with pytest.raises(ValueError, match="at least one vertex"):
-            LatticeCurve(vertices=(), source_turns=(), final_heading="E")
+            LatticeCurve(path=(), source_turns=(), final_heading="E")
         with pytest.raises(ValueError, match="at least one vertex"):
             curve_from_vertices([])
 
@@ -93,34 +93,34 @@ class TestCurveValidation:
         for vertices in (((0, 0), (0, 0)), ((0, 0), (1, 0), (1, 2)), ((5, 5), (4, 4))):
             (ax, ay), (bx, by) = vertices[-2:]
             with pytest.raises(ValueError, match=rf"non-unit step \({ax},{ay}\)->\({bx},{by}\)"):
-                LatticeCurve(vertices=vertices, source_turns=(), final_heading="E")
+                LatticeCurve(path=vertices, source_turns=(), final_heading="E")
 
     def test_bad_turn_label_rejected(self):
         with pytest.raises(ValueError, match="turn label must be 'L' or 'R', got 'X'"):
-            LatticeCurve(vertices=((0, 0), (1, 0)), source_turns=("X",), final_heading="E")
+            LatticeCurve(path=((0, 0), (1, 0)), source_turns=("X",), final_heading="E")
         with pytest.raises(ValueError, match="got 'X'"):
             trace("LXR")
 
     def test_turn_heading_inconsistency_rejected(self):
         with pytest.raises(ValueError, match="inconsistent with turn word"):
             LatticeCurve(
-                vertices=((0, 0), (1, 0), (2, 0)),
+                path=((0, 0), (1, 0), (2, 0)),
                 source_turns=("L", "L"),
                 final_heading="N",
             )
         # the last turn must give the exit heading
         with pytest.raises(ValueError, match="inconsistent with turn word"):
-            LatticeCurve(vertices=((0, 0), (1, 0)), source_turns=("L",), final_heading="S")
+            LatticeCurve(path=((0, 0), (1, 0)), source_turns=("L",), final_heading="S")
         with pytest.raises(ValueError, match="turn/segment count mismatch"):
-            LatticeCurve(vertices=((0, 0), (1, 0)), source_turns=("L", "L"), final_heading="N")
+            LatticeCurve(path=((0, 0), (1, 0)), source_turns=("L", "L"), final_heading="N")
 
     def test_bad_final_heading_rejected(self):
         for final in ("Q", "e", None):
             with pytest.raises(ValueError, match="bad final heading"):
-                LatticeCurve(vertices=((0, 0),), source_turns=(), final_heading=final)
+                LatticeCurve(path=((0, 0),), source_turns=(), final_heading=final)
 
     def test_headings_derived_from_vertices(self):
-        c = LatticeCurve(vertices=((0, 0), (1, 0), (1, 1), (0, 1)), source_turns=(),
+        c = LatticeCurve(path=((0, 0), (1, 0), (1, 1), (0, 1)), source_turns=(),
                          final_heading="S")
         assert c.headings == ("E", "N", "W")
         assert trace("LLRR").headings == ("E", "N", "W", "N")
@@ -136,6 +136,47 @@ class TestCurveValidation:
         c = curve_from_vertices(np.array([[0, 0], [1, 0], [1, 1]], dtype=np.int64))
         assert c.vertices == ((0, 0), (1, 0), (1, 1))
         assert all(type(v) is int for p in c.vertices for v in p)
+
+    def test_vertices_not_in_pairs_rejected(self):
+        for vertices in ([(0, 0, 0), (1, 0, 0)], [1, 2]):
+            with pytest.raises(ValueError, match=r"in \(x, y\) pairs"):
+                curve_from_vertices(vertices)
+
+    def test_path_must_be_an_int64_pair_array(self):
+        for path in (np.zeros((2, 2)), np.zeros((2, 3), np.int64), np.zeros(2, np.int64)):
+            with pytest.raises(ValueError, match=r"path must be \(n \+ 1, 2\) int64, got"):
+                LatticeCurve(path=path, source_turns=(), final_heading="E")
+
+
+class TestVertexArray:
+    """A curve stores one read-only int64 array; the tuples are views of it."""
+
+    def test_one_read_only_int64_array(self):
+        c = trace("LLRLR", start=(2, -3))
+        assert c.path.dtype == np.int64 and c.path.shape == (6, 2)
+        assert not c.path.flags.writeable
+        with pytest.raises(ValueError):
+            c.path[0, 0] = 7
+        assert c.vertices == tuple(map(tuple, c.path.tolist()))
+        assert (c.start, c.end) == (c.vertices[0], c.vertices[-1]) == ((2, -3), (1, -1))
+
+    def test_caller_array_left_writeable(self):
+        path = np.array([[0, 0], [1, 0]], dtype=np.int64)
+        c = LatticeCurve(path=path, source_turns=(), final_heading="E")
+        assert path.flags.writeable and not c.path.flags.writeable
+
+    def test_equality_compares_path_turns_and_exit(self):
+        c = trace("LRRL")
+        assert c == trace("LRRL") and c == LatticeCurve(c.vertices, ("L", "R", "R", "L"), "E")
+        assert c != trace("LRRR") and c != trace("LRRL", start=(0, 1))
+        assert c != curve_from_vertices(c.vertices) and c != c.vertices
+
+    def test_edge_set_is_the_normalized_steps(self):
+        rng = random.Random(4)
+        for _ in range(50):
+            c = trace("".join(rng.choice("LR") for _ in range(rng.randint(0, 60))))
+            v = c.vertices
+            assert c.edge_set() == {(min(a, b), max(a, b)) for a, b in zip(v, v[1:])}
 
 
 # The string-table tracer and point-rotation motion that ``trace`` and
@@ -257,6 +298,20 @@ class TestRegionCounting:
     def test_empty_edge_set(self):
         assert bounded_regions_euler([]) == 0
         assert bounded_regions_flood([]) == 0
+
+    def test_stats_do_not_move_with_the_curve(self):
+        # the packed keys are offsets from the bounding box, so any shift, far
+        # negative coordinates included, counts the same vertices and edges
+        rng = random.Random(21)
+        for word in ["RRRR", "LLRLLRLLRLLR"] + [
+                "".join(rng.choice("LR") for _ in range(200)) for _ in range(20)]:
+            c = trace(word)
+            base = curve_stats(c)
+            for shift in ((0, -1), (-1, 0), (-5, -3), (-(2**40), 3), (7, -(2**40))):
+                moved = curve_stats(apply_motion(c, RigidMotion(translation=shift)))
+                assert (moved.unique_edge_count, moved.revisited_vertex_count,
+                        moved.bounded_region_count) == (base.unique_edge_count,
+                        base.revisited_vertex_count, base.bounded_region_count)
 
 
 class TestCurveStats:
@@ -391,6 +446,67 @@ class TestSeahorseScan:
         for bad in (0, -1, 2.0, "12"):
             with pytest.raises(ValueError, match="max_len"):
                 scan(bad)
+
+
+def _oracle_reflections_sending(s, e):
+    """The lattice reflections sending s to e, written out per axis family:
+    vertical, horizontal, diagonal (y = x + c) and anti-diagonal (x + y = c)."""
+    sx, sy = s
+    ex, ey = e
+    if s == e:
+        yield lambda p: (2 * sx - p[0], p[1])
+        yield lambda p: (p[0], 2 * sy - p[1])
+        c_diag = sy - sx
+        yield lambda p: (p[1] - c_diag, p[0] + c_diag)
+        c_anti = sx + sy
+        yield lambda p: (c_anti - p[1], c_anti - p[0])
+        return
+    dx, dy = ex - sx, ey - sy
+    if dy == 0:
+        t = sx + ex
+        yield lambda p: (t - p[0], p[1])
+    elif dx == 0:
+        t = sy + ey
+        yield lambda p: (p[0], t - p[1])
+    elif dx == dy:
+        c = sx + sy + dx
+        yield lambda p: (c - p[1], c - p[0])
+    elif dx == -dy:
+        c = sy - sx - dx
+        yield lambda p: (p[1] - c, p[0] + c)
+
+
+def _table_reflections_sending(s, e):
+    """``curves._reflections_sending`` with each (a, b, c, d, tx, ty) as a map."""
+    for a, b, c, d, tx, ty in curves._reflections_sending(s, e):
+        yield lambda p, a=a, b=b, c=c, d=d, tx=tx, ty=ty: (
+            a * p[0] + b * p[1] + tx, c * p[0] + d * p[1] + ty)
+
+
+class TestReflections:
+    SAMPLES = [(0, 0), (1, 0), (0, 1), (3, -2), (-5, 7)]  # images pin an affine map
+
+    def maps(self, reflections):
+        return sorted(tuple(refl(p) for p in self.SAMPLES) for refl in reflections)
+
+    def test_table_matches_the_written_out_reflections(self):
+        grid = list(product(range(-3, 4), repeat=2))
+        for s, e in product(grid, grid):
+            found = self.maps(_table_reflections_sending(s, e))
+            assert found == self.maps(_oracle_reflections_sending(s, e)), (s, e)
+            assert len(found) == (4 if s == e else len(set(found)))
+
+    def test_each_map_is_an_involution_sending_s_to_e(self):
+        for s, e in [((0, 0), (0, 0)), ((2, -1), (2, -1)), ((0, 0), (4, 0)),
+                     ((1, 1), (1, -3)), ((0, 0), (3, 3)), ((2, 0), (-1, 3))]:
+            reflections = list(_table_reflections_sending(s, e))
+            assert reflections
+            for refl in reflections:
+                assert refl(s) == e and refl(e) == s
+                assert all(refl(refl(p)) == p for p in self.SAMPLES)
+
+    def test_the_table_is_rigid_motion_reflections(self):
+        assert set(curves._REFLECTIONS) == {RigidMotion(r, True).matrix for r in (0, 90, 180, 270)}
 
 
 class TestRigidMotion:
