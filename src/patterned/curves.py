@@ -67,6 +67,8 @@ class LatticeCurve:
             raise ValueError("a curve needs at least one vertex")
         if path.dtype != np.int64 or path.shape[1:] != (2,):
             raise ValueError(f"path must be (n + 1, 2) int64, got {path.shape} {path.dtype}")
+        if not -2**62 <= path.min() <= path.max() <= 2**62:  # no int64 step or shift wraps
+            raise ValueError(f"coordinates must be within +-2**62, got {path.min()}..{path.max()}")
         if self.final_heading not in HEADINGS:
             raise ValueError(f"bad final heading {self.final_heading!r}")
         steps = _step_headings(path)
@@ -80,8 +82,7 @@ class LatticeCurve:
                 raise ValueError("turn/segment count mismatch")
             codes = _turn_codes(turns)
             if not codes.all():
-                bad = turns[int(np.argmin(codes))]
-                raise ValueError(f"turn label must be 'L' or 'R', got {bad!r}")
+                raise ValueError(f"turn label must be 'L' or 'R', got {turns[np.argmin(codes)]!r}")
             exits = np.concatenate((steps[1:], [HEADINGS.index(self.final_heading)]))
             if ((exits - steps) % 4 != codes).any():
                 raise ValueError("heading transition inconsistent with turn word")

@@ -84,8 +84,7 @@ def profile_json_entries(blocks: Iterable[tuple]) -> Iterator[dict]:
 # ---------------------------------------------------------------------------
 
 def _svg_path(points, unit: float) -> str:
-    """Path data of a polyline of integer points, formatted by one %-format
-    for all of them."""
+    """Path data of a polyline of integer points, by one %-format for all of them."""
     path = f"M {REAL} {REAL}" + f" L {REAL} {REAL}" * (len(points) - 1)
     return path % tuple((np.asarray(points) * unit).ravel().tolist())
 

@@ -171,6 +171,15 @@ class TestVertexArray:
         assert c != trace("LRRR") and c != trace("LRRL", start=(0, 1))
         assert c != curve_from_vertices(c.vertices) and c != c.vertices
 
+    def test_coordinates_bounded_so_int64_cannot_wrap(self):
+        # past 2**62 a shift could wrap int64 into a path whose steps look unit
+        assert trace("LR", start=(2**62 - 1, 0)).end == (2**62, 1)
+        for build in (lambda: curve_from_vertices([(-(2**63), 0), (2**63 - 1, 0)]),
+                      lambda: trace("LR", start=(2**62, 0)),
+                      lambda: apply_motion(trace("LR"), RigidMotion(translation=(2**63 - 1, 0)))):
+            with pytest.raises(ValueError, match=r"coordinates must be within \+-2\*\*62"):
+                build()
+
     def test_edge_set_is_the_normalized_steps(self):
         rng = random.Random(4)
         for _ in range(50):
