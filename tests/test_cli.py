@@ -726,7 +726,6 @@ class TestSizeCaps:
             (("turns", "--k"), "k", cli.MAX_MEMBERS),
             (("curve", "--k"), "k", curves.DEFAULT_EDGE_CAP),
             (("dragon", "--generations", "2", "--k"), "k", curves.DEFAULT_EDGE_CAP),
-            (("dragon", "--word", "LLR", "--max-edges"), "max_edges", curves.DEFAULT_EDGE_CAP),
             (("tessellate", "--placements", ROTATIONS, "--k"), "k", curves.DEFAULT_EDGE_CAP),
             (("dag", "--limit"), "limit", cli.MAX_DAG_LIMIT),
             (("walk", "--steps", "0", "--limit"), "limit", cli.MAX_MEMBERS),
@@ -737,6 +736,7 @@ class TestSizeCaps:
             (("sweep", "--sites"), "sites", 5000),
             (("primes", "--limit"), "limit", cli.MAX_PRIMES_LIMIT),
             (("gen", "--format", "json", "--limit"), "limit", cli.MAX_GEN_JSON_LIMIT),
+            (("dragon", "--word", "LLR", "--max-edges"), "max_edges", curves.DEFAULT_EDGE_CAP),
         ],
     )
     @pytest.mark.parametrize("over", [1, 10**12])
