@@ -34,7 +34,7 @@ CLAIMED_DENSITY_100 = 0.72
 # about 1 GB at 150 bytes per walk site (turns: 67 per member), 450 per dag
 # integer, 7.3 per primes integer, 270 per gen --format json integer and 260
 # per sweep s_grid point; curve --k and dragon --max-edges stop at DEFAULT_EDGE_CAP
-# segments, 175 bytes each. gen CSV streams its rows and has no cap.
+# segments, 160 bytes each. gen CSV streams its rows and has no cap.
 MAX_MEMBERS = 6_000_000
 MAX_DAG_LIMIT = 2_000_000
 MAX_PRIMES_LIMIT = 130_000_000
@@ -205,6 +205,7 @@ def _parse_motions(value) -> List[curves.RigidMotion]:
 
 def _parse_s_grid(grid: str) -> List[float]:
     """Either comma-separated values or 'start:stop:count' (inclusive)."""
+    count = grid.count(",") + 1  # the comma form's points, counted before any is parsed
     if ":" in grid:
         try:
             start, stop, count = grid.split(":")
@@ -213,12 +214,10 @@ def _parse_s_grid(grid: str) -> List[float]:
             raise ValueError(f"s_grid range must be start:stop:count, got {grid!r}") from None
         if count < 2:
             raise ValueError("s_grid range needs at least 2 points")
-        if count > MAX_S_GRID_POINTS:
-            raise ResourceLimitError(f"s_grid must be <= {MAX_S_GRID_POINTS} points, got {count}")
-        return [float(v) for v in np.linspace(start, stop, count)]
-    count = grid.count(",") + 1
     if count > MAX_S_GRID_POINTS:
         raise ResourceLimitError(f"s_grid must be <= {MAX_S_GRID_POINTS} points, got {count}")
+    if ":" in grid:
+        return [float(v) for v in np.linspace(start, stop, count)]
     try:
         values = [float(v) for v in grid.split(",") if v.strip() != ""]
     except ValueError as exc:

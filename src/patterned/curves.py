@@ -23,9 +23,9 @@ Point = Tuple[int, int]
 HEADINGS = ("E", "N", "W", "S")
 _STEPS = ((1, 0), (0, 1), (-1, 0), (0, -1))  # unit step of each heading
 _STEP_ARRAY = np.array(_STEPS, dtype=np.int64)
-# at [dx + 1, dy + 1] of a step clipped to -1..2: its heading, or -1 if not a unit step
-_HEADING_OF_STEP = np.full((4, 4), -1)
-_HEADING_OF_STEP[_STEP_ARRAY[:, 0] + 1, _STEP_ARRAY[:, 1] + 1] = range(4)
+# at [dx + 2, dy + 2] of a step clipped to -2..2: its heading, or -1 if not a unit step
+_HEADING_OF_STEP = np.full((5, 5), -1)
+_HEADING_OF_STEP[_STEP_ARRAY[:, 0] + 2, _STEP_ARRAY[:, 1] + 2] = range(4)
 _TURN = {TURN_LEFT: 1, TURN_RIGHT: 3}  # added to the heading index, mod 4
 _MIRROR = str.maketrans(TURN_LEFT + TURN_RIGHT, TURN_RIGHT + TURN_LEFT)
 
@@ -35,7 +35,7 @@ DEFAULT_EDGE_CAP = 2**20
 
 def _step_headings(path: np.ndarray) -> np.ndarray:
     """Heading index of each step of a path, or -1 for a step that is not one axis unit."""
-    steps = np.maximum(np.minimum(path[1:] - path[:-1], 2), -1) + 1
+    steps = np.maximum(np.minimum(path[1:] - path[:-1], 2), -2) + 2
     return _HEADING_OF_STEP[steps[:, 0], steps[:, 1]]
 
 
@@ -52,8 +52,9 @@ class LatticeCurve:
     int64 array. ``final_heading`` is the exit heading after the last turn,
     kept so curves can be iterated or composed. ``source_turns`` is empty for
     geometrically built curves. Every curve is checked here, once: the
-    builders compute no headings. ``vertices``, ``headings``, ``start``,
-    ``end`` and ``edge_set()`` are views derived from ``path`` on each read.
+    builders compute no headings. The curve keeps its own copy of ``path``,
+    so no caller can change it once checked. ``vertices``, ``headings``,
+    ``start``, ``end`` and ``edge_set()`` are views derived from it on each read.
     Two curves are equal when their paths, turn words and exit headings are.
     """
 
@@ -62,7 +63,7 @@ class LatticeCurve:
     final_heading: str
 
     def __post_init__(self):
-        path = np.asarray(self.path)
+        path = np.array(self.path)
         if not len(path):
             raise ValueError("a curve needs at least one vertex")
         if path.dtype != np.int64 or path.shape[1:] != (2,):
@@ -73,8 +74,7 @@ class LatticeCurve:
             raise ValueError(f"bad final heading {self.final_heading!r}")
         steps = _step_headings(path)
         if (steps < 0).any():
-            i = int(np.argmin(steps))
-            (ax, ay), (bx, by) = path[i:i + 2].tolist()
+            (ax, ay), (bx, by) = path[np.argmin(steps):][:2].tolist()
             raise ValueError(f"non-unit step ({ax},{ay})->({bx},{by})")
         turns = self.source_turns
         if turns:
@@ -86,8 +86,8 @@ class LatticeCurve:
             exits = np.concatenate((steps[1:], [HEADINGS.index(self.final_heading)]))
             if ((exits - steps) % 4 != codes).any():
                 raise ValueError("heading transition inconsistent with turn word")
-        object.__setattr__(self, "path", path.view())
-        self.path.flags.writeable = False
+        path.flags.writeable = False
+        object.__setattr__(self, "path", path)
 
     def __eq__(self, other):
         return isinstance(other, LatticeCurve) and np.array_equal(self.path, other.path) and (
@@ -158,13 +158,12 @@ def trace(
     """
     if initial_heading not in HEADINGS:
         raise ValueError(f"bad initial heading {initial_heading!r}")
-    x, y = start
-    if not isinstance(x, int) or not isinstance(y, int):
+    if len(start) != 2 or not all(isinstance(c, int) for c in start):
         raise ValueError(f"start must be an integer point, got {start!r}")
     word = tuple(turns)
     # the heading of each step, then the exit one; LatticeCurve rejects a bad label
-    h = np.cumsum(np.concatenate(([HEADINGS.index(initial_heading)], _turn_codes(word)))) % 4
-    path = np.cumsum(np.vstack(([start], _STEP_ARRAY[h[:-1]])), axis=0)
+    h = np.concatenate(([HEADINGS.index(initial_heading)], _turn_codes(word))).cumsum() % 4
+    path = np.concatenate(([start], _STEP_ARRAY[h[:-1]])).cumsum(axis=0)
     return LatticeCurve(path, word, HEADINGS[h[-1]])
 
 
@@ -183,6 +182,8 @@ def curve_from_vertices(vertices: Iterable[Point]) -> LatticeCurve:
     if points.size and (points.dtype.kind not in "biu" or points.shape[1:] != (2,)):
         raise ValueError(f"vertex coordinates must be integers in (x, y) pairs, "
                          f"got {points.dtype} of shape {points.shape}")
+    if points.dtype.kind == "u" and points.max(initial=0) > 2**62:  # the int64 cast would wrap
+        raise ValueError(f"coordinates must be within +-2**62, got {points.min()}..{points.max()}")
     path = points.astype(np.int64).reshape(-1, 2)
     return LatticeCurve(path, (), _last_step_heading(path))
 
@@ -286,23 +287,24 @@ def curve_stats(curve: LatticeCurve) -> CurveStats:
     """Planar statistics of a curve (regions via the Euler relation).
 
     A curve is one connected path, so E - V + C needs no component search:
-    C = 1. V and E count distinct integer keys. A vertex's key packs its offset
-    from the bounding box's low corner as x * height + y; an edge's is twice
-    its lower end's key, plus one when the edge is horizontal.
+    C = 1. V and E count distinct integer keys, by sorting. A vertex's key packs
+    its offset from the bounding box's low corner as x * height + y; an edge's
+    is twice its lower end's key, plus one when the edge is horizontal.
     """
     path = curve.path
     low, high = path.min(axis=0), path.max(axis=0)
     x, y = (path - low).T
     keys = x * (high[1] - low[1] + 1) + y
-    edge_keys = 2 * np.minimum(keys[:-1], keys[1:]) + (y[1:] == y[:-1])
-    # return_counts also keeps np.unique from importing numpy.ma (16 ms, 1 MB)
-    edges = len(np.unique(edge_keys, return_counts=True)[1])
-    visits = np.unique(keys, return_counts=True)[1]
+    edge_keys = np.sort(2 * np.minimum(keys[:-1], keys[1:]) + (y[1:] == y[:-1]))
+    edges = len(edge_keys) - int(np.count_nonzero(edge_keys[1:] == edge_keys[:-1]))
+    keys.sort()
+    repeats = keys[1:][keys[1:] == keys[:-1]]  # a vertex's key once per return to it
+    revisits = len(repeats) and int(np.count_nonzero(repeats[1:] != repeats[:-1])) + 1
     return CurveStats(
         segment_count=curve.segment_count,
         unique_edge_count=edges,
-        revisited_vertex_count=int(np.count_nonzero(visits > 1)),
-        bounded_region_count=edges - len(visits) + 1,
+        revisited_vertex_count=revisits,
+        bounded_region_count=edges - (len(keys) - len(repeats)) + 1,
         bounding_box=(*low.tolist(), *high.tolist()),
         max_turn_run=max_run_length(curve.source_turns),
     )
@@ -361,11 +363,10 @@ def _moved(path: np.ndarray, matrix: Tuple[int, int, int, int], shift) -> np.nda
 def apply_motion(curve: LatticeCurve, motion: RigidMotion) -> LatticeCurve:
     """Transform a curve by a rigid motion; turn chirality flips under reflection."""
     turns = curve.source_turns
-    if motion.reflect:
-        turns = tuple("".join(turns).translate(_MIRROR))
+    turns = tuple("".join(turns).translate(_MIRROR)) if motion.reflect else turns
     dx, dy = motion.apply_vector(_STEPS[HEADINGS.index(curve.final_heading)])
     path = _moved(curve.path, motion.matrix, motion.translation)
-    return LatticeCurve(path, turns, HEADINGS[_HEADING_OF_STEP[dx + 1, dy + 1]])
+    return LatticeCurve(path, turns, HEADINGS[_HEADING_OF_STEP[dx + 2, dy + 2]])
 
 
 def iterate_dragon(

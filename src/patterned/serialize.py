@@ -101,8 +101,8 @@ def curves_svg(curves: Sequence[Tuple[str, LatticeCurve]], unit: float = 1.0) ->
     if not unit > 0:
         raise ValueError(f"unit must be positive, got {unit}")
     paths = [curve.path for _, curve in curves]
-    x0, y0 = (np.min([p.min(axis=0) for p in paths], axis=0) - 1).tolist()
-    x1, y1 = (np.max([p.max(axis=0) for p in paths], axis=0) + 1).tolist()
+    x0, y0 = (min(v) - 1 for v in zip(*(p.min(axis=0).tolist() for p in paths)))
+    x1, y1 = (max(v) + 1 for v in zip(*(p.max(axis=0).tolist() for p in paths)))
     view = " ".join(REAL % (v * unit) for v in (x0, y0, x1 - x0, y1 - y0))
     # y_svg = (y0 + y1)*unit - y_math*unit keeps flipped content inside the box
     flip = f"translate(0 {REAL % ((y0 + y1) * unit)}) scale(1 -1)"

@@ -76,8 +76,13 @@ class TestCurveValidation:
     """``LatticeCurve`` is the one place a curve's steps are checked."""
 
     def test_non_unit_step_rejected(self):
-        with pytest.raises(ValueError, match=r"non-unit step \(0,0\)->\(2,0\)"):
-            curve_from_vertices([(0, 0), (2, 0)])
+        for x, y in ((2, 0), (-2, 0), (0, -3), (0, -7), (-(2**62), 0)):
+            with pytest.raises(ValueError, match=rf"non-unit step \(0,0\)->\({x},{y}\)"):
+                curve_from_vertices([(0, 0), (x, y)])
+        with pytest.raises(ValueError, match="non-unit step"):
+            LatticeCurve(path=((0, 0), (-2, 0)), source_turns=(), final_heading="W")
+        with pytest.raises(ValueError, match="non-unit step"):  # a step of 2**63 wraps to -2**63
+            curve_from_vertices([(-(2**62), 0), (2**62, 0)])
 
     def test_diagonal_step_rejected(self):
         with pytest.raises(ValueError, match=r"non-unit step \(1,0\)->\(2,1\)"):
@@ -160,10 +165,12 @@ class TestVertexArray:
         assert c.vertices == tuple(map(tuple, c.path.tolist()))
         assert (c.start, c.end) == (c.vertices[0], c.vertices[-1]) == ((2, -3), (1, -1))
 
-    def test_caller_array_left_writeable(self):
+    def test_caller_array_cannot_change_the_curve(self):
         path = np.array([[0, 0], [1, 0]], dtype=np.int64)
         c = LatticeCurve(path=path, source_turns=(), final_heading="E")
         assert path.flags.writeable and not c.path.flags.writeable
+        path[1] = (5, 5)
+        assert c.vertices == ((0, 0), (1, 0))
 
     def test_equality_compares_path_turns_and_exit(self):
         c = trace("LRRL")
@@ -176,6 +183,8 @@ class TestVertexArray:
         assert trace("LR", start=(2**62 - 1, 0)).end == (2**62, 1)
         for build in (lambda: curve_from_vertices([(-(2**63), 0), (2**63 - 1, 0)]),
                       lambda: trace("LR", start=(2**62, 0)),
+                      lambda: curve_from_vertices(np.array([(2**64 - 1, 0), (2**64 - 2, 0)],
+                                                           dtype=np.uint64)),
                       lambda: apply_motion(trace("LR"), RigidMotion(translation=(2**63 - 1, 0)))):
             with pytest.raises(ValueError, match=r"coordinates must be within \+-2\*\*62"):
                 build()
