@@ -32,9 +32,10 @@ CLAIMED_DENSITY_100 = 0.72
 
 # Caps on flags that size a command, checked before it scans or allocates:
 # about 1 GB at 150 bytes per walk site (turns: 67 per member), 450 per dag
-# integer, 7.3 per primes integer, 270 per gen --format json integer and 260
-# per sweep s_grid point; curve --k and dragon --max-edges stop at DEFAULT_EDGE_CAP
-# segments, 160 bytes each. gen CSV streams its rows and has no cap.
+# integer, 270 per gen --format json integer and 260 per sweep s_grid point;
+# curve --k and dragon --max-edges stop at DEFAULT_EDGE_CAP segments, 160 bytes
+# each. primes needs 3.1 bytes per integer at its cap (406 MB for JSON, 326 MB
+# for CSV), so its cap is below 1 GB. gen CSV streams its rows and has no cap.
 MAX_MEMBERS = 6_000_000
 MAX_DAG_LIMIT = 2_000_000
 MAX_PRIMES_LIMIT = 130_000_000
@@ -168,6 +169,9 @@ def _parse_word(word: str) -> List[str]:
 
 def _seed_turns(cfg: RunConfig) -> List[str]:
     if cfg.word is not None:
+        if len(cfg.word) > curves.DEFAULT_EDGE_CAP:
+            raise ResourceLimitError(f"word must be <= {curves.DEFAULT_EDGE_CAP} letters, "
+                                     f"got {len(cfg.word)}")
         return _parse_word(cfg.word)
     return core.turn_sequence(_require(cfg, "k", curves.DEFAULT_EDGE_CAP))
 
@@ -190,6 +194,9 @@ def _parse_motions(value) -> List[curves.RigidMotion]:
         translation = entry.get("translation", [0, 0])
         if not isinstance(translation, list) or list(map(type, translation)) != [int, int]:
             raise ValueError(f"placements[{i}] translation must be two integers, "
+                             f"got {json.dumps(translation)}")
+        if any(abs(c) > curves.COORD_BOUND for c in translation):
+            raise ValueError(f"placements[{i}] translation must be within +-2**62, "
                              f"got {json.dumps(translation)}")
         rotation = entry.get("rotation", 0)
         if type(rotation) is not int or rotation not in (0, 90, 180, 270):
@@ -277,18 +284,15 @@ def _cmd_count(cfg: RunConfig) -> int:
 
 def _cmd_primes(cfg: RunConfig) -> int:
     limit = _require(cfg, "limit", MAX_PRIMES_LIMIT)
-    patterned, gaps = graphs.partition_primes(limit)
+    primes, qualifies = graphs.split_primes(limit)
     fmt = _format(cfg, "csv")
     with _out_stream(cfg.out) as stream:
         if fmt == "csv":
-            rows = sorted(
-                [(p, "patterned") for p in patterned] + [(p, "gap") for p in gaps]
-            )
-            serialize.write_csv(stream, ("p", "group"), map("%d,%s\n".__mod__, rows))
+            rows = serialize.prime_csv_rows(primes, qualifies)
+            serialize.write_csv(stream, ("p", "group"), rows)
         else:
-            serialize.write_json(
-                stream, {"limit": limit, "patterned": patterned, "gap": gaps}
-            )
+            serialize.write_json(stream, {"limit": limit, "patterned": primes[qualifies].tolist(),
+                                          "gap": primes[~qualifies].tolist()})
     return 0
 
 
@@ -371,9 +375,9 @@ def _cmd_tessellate(cfg: RunConfig) -> int:
     tess = curves.tessellate(base, motions)
     stats = {
         "tiles": len(tess.tiles),
-        "unique_edge_count": len(tess.edges),
+        "unique_edge_count": tess.unique_edge_count,
         "overlap_count": tess.overlap_count,
-        "bounded_region_count": curves.bounded_regions_euler(tess.edges),
+        "bounded_region_count": tess.bounded_region_count,
     }
     _emit_svg(cfg, serialize.tessellation_svg(tess, unit=cfg.unit), stats)
     return 0

@@ -282,21 +282,23 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def primes_up_to(limit: int) -> list:
-    """Sieve of Eratosthenes; all primes <= limit in ascending order."""
+def prime_array(limit: int) -> np.ndarray:
+    """Sieve of Eratosthenes on a bool array; all primes <= limit, ascending, as int64."""
     _check_positive(limit, "limit")
-    if limit < 2:
-        return []
-    # zero-filled, composites marked: a failing bytearray(...) * n leaves a
-    # stray SystemError on stderr, a failing bytearray(n) does not
     try:
-        composite = bytearray(limit + 1)
+        sieve = np.ones(limit + 1, dtype=bool)
+        sieve[:2] = False
         for i in range(2, isqrt(limit) + 1):
-            if not composite[i]:
-                composite[i * i :: i] = b"\x01" * len(range(i * i, limit + 1, i))
-        return [i for i in range(2, limit + 1) if not composite[i]]
+            if sieve[i]:
+                sieve[i * i :: i] = False
+        return np.flatnonzero(sieve)
     except MemoryError:
         raise MemoryError(f"the sieve up to limit {limit} does not fit in memory") from None
+
+
+def primes_up_to(limit: int) -> list:
+    """All primes <= limit in ascending order, as a list: :func:`prime_array`."""
+    return prime_array(limit).tolist()
 
 
 def is_patterned_prime(p: int, assume_prime: bool = False) -> bool:

@@ -29,8 +29,11 @@ _HEADING_OF_STEP[_STEP_ARRAY[:, 0] + 2, _STEP_ARRAY[:, 1] + 2] = range(4)
 _TURN = {TURN_LEFT: 1, TURN_RIGHT: 3}  # added to the heading index, mod 4
 _MIRROR = str.maketrans(TURN_LEFT + TURN_RIGHT, TURN_RIGHT + TURN_LEFT)
 
-# Cap on curve size for the doubling iteration (design default, overridable).
+# Cap on curve size for the doubling iteration (design default, overridable)
+# and on the segments of a tessellation, all tiles together.
 DEFAULT_EDGE_CAP = 2**20
+# Bound on every coordinate, so no int64 step, shift or rigid motion wraps.
+COORD_BOUND = 2**62
 
 
 def _step_headings(path: np.ndarray) -> np.ndarray:
@@ -68,7 +71,7 @@ class LatticeCurve:
             raise ValueError("a curve needs at least one vertex")
         if path.dtype != np.int64 or path.shape[1:] != (2,):
             raise ValueError(f"path must be (n + 1, 2) int64, got {path.shape} {path.dtype}")
-        if not -2**62 <= path.min() <= path.max() <= 2**62:  # no int64 step or shift wraps
+        if not -COORD_BOUND <= path.min() <= path.max() <= COORD_BOUND:
             raise ValueError(f"coordinates must be within +-2**62, got {path.min()}..{path.max()}")
         if self.final_heading not in HEADINGS:
             raise ValueError(f"bad final heading {self.final_heading!r}")
@@ -160,6 +163,8 @@ def trace(
         raise ValueError(f"bad initial heading {initial_heading!r}")
     if len(start) != 2 or not all(isinstance(c, int) for c in start):
         raise ValueError(f"start must be an integer point, got {start!r}")
+    if not all(-COORD_BOUND <= c <= COORD_BOUND for c in start):
+        raise ValueError(f"start coordinates must be within +-2**62, got {start!r}")
     word = tuple(turns)
     # the heading of each step, then the exit one; LatticeCurve rejects a bad label
     h = np.concatenate(([HEADINGS.index(initial_heading)], _turn_codes(word))).cumsum() % 4
@@ -178,11 +183,17 @@ def curve_from_vertices(vertices: Iterable[Point]) -> LatticeCurve:
     Coordinates must be integers (numpy integers included); anything else
     raises ``ValueError`` rather than being truncated.
     """
-    points = np.array(list(vertices))
+    vertices = list(vertices)
+    points = np.array(vertices)
+    # integers past int64 come out as floats or objects
+    if points.dtype.kind in "fO" and points.shape[1:] == (2,) and all(
+            isinstance(c, (int, np.integer)) for v in vertices for c in v):
+        raise ValueError("coordinates must be within +-2**62, got "
+                         f"{min(min(v) for v in vertices)}..{max(max(v) for v in vertices)}")
     if points.size and (points.dtype.kind not in "biu" or points.shape[1:] != (2,)):
         raise ValueError(f"vertex coordinates must be integers in (x, y) pairs, "
                          f"got {points.dtype} of shape {points.shape}")
-    if points.dtype.kind == "u" and points.max(initial=0) > 2**62:  # the int64 cast would wrap
+    if points.dtype.kind == "u" and points.max(initial=0) > COORD_BOUND:  # the int64 cast wraps
         raise ValueError(f"coordinates must be within +-2**62, got {points.min()}..{points.max()}")
     path = points.astype(np.int64).reshape(-1, 2)
     return LatticeCurve(path, (), _last_step_heading(path))
@@ -283,6 +294,11 @@ def bounded_regions_flood(edges: Iterable[Tuple[Point, Point]]) -> int:
     return regions
 
 
+def _distinct_count(keys: np.ndarray) -> int:
+    """The number of distinct values in a sorted array."""
+    return keys.size - int(np.count_nonzero(keys[1:] == keys[:-1]))
+
+
 def curve_stats(curve: LatticeCurve) -> CurveStats:
     """Planar statistics of a curve (regions via the Euler relation).
 
@@ -295,8 +311,7 @@ def curve_stats(curve: LatticeCurve) -> CurveStats:
     low, high = path.min(axis=0), path.max(axis=0)
     x, y = (path - low).T
     keys = x * (high[1] - low[1] + 1) + y
-    edge_keys = np.sort(2 * np.minimum(keys[:-1], keys[1:]) + (y[1:] == y[:-1]))
-    edges = len(edge_keys) - int(np.count_nonzero(edge_keys[1:] == edge_keys[:-1]))
+    edges = _distinct_count(np.sort(2 * np.minimum(keys[:-1], keys[1:]) + (y[1:] == y[:-1])))
     keys.sort()
     repeats = keys[1:][keys[1:] == keys[:-1]]  # a vertex's key once per return to it
     revisits = len(repeats) and int(np.count_nonzero(repeats[1:] != repeats[:-1])) + 1
@@ -357,7 +372,7 @@ class RigidMotion:
 
 def _moved(path: np.ndarray, matrix: Tuple[int, int, int, int], shift) -> np.ndarray:
     """The vertices mapped by p -> M p + shift, M given as RigidMotion.matrix."""
-    return path @ np.reshape(matrix, (2, 2)).T + shift
+    return path @ np.array(matrix).reshape(2, 2).T + shift
 
 
 def apply_motion(curve: LatticeCurve, motion: RigidMotion) -> LatticeCurve:
@@ -380,10 +395,11 @@ def iterate_dragon(
     about the origin and translates the rotated copy so its start lands on
     the current end, then concatenates. Raw segment count doubles per
     generation (before any edge deduplication). The result has no turn word.
+    A curve with no segments is its own doubling, so it is returned as it is.
     """
     if not isinstance(generations, int) or generations < 0:
         raise ValueError(f"generations must be a non-negative integer, got {generations!r}")
-    if generations == 0:
+    if generations == 0 or curve.segment_count == 0:
         return curve
     path, quarter = curve.path, RigidMotion(90).matrix
     for _ in range(generations):
@@ -397,21 +413,118 @@ def iterate_dragon(
 
 @dataclass(frozen=True)
 class Tessellation:
-    """Union of rigid-motion copies of a base curve, with overlap accounting."""
+    """Union of rigid-motion copies of a base curve, with overlap accounting.
+
+    ``overlap_count`` is the placed edges (each tile's distinct edges, summed)
+    minus the union's distinct edges. ``edge_set()`` is derived from the tiles
+    on each read.
+    """
 
     tiles: Tuple[LatticeCurve, ...]       # tile i = placement i applied to the base
-    edges: frozenset
+    unique_edge_count: int
     overlap_count: int
+    bounded_region_count: int
+
+    def edge_set(self) -> frozenset:
+        """The union's unit edges, each as its (lower, upper) vertex pair."""
+        return frozenset().union(*(tile.edge_set() for tile in self.tiles))
+
+
+def _group_count(count: int, pairs) -> int:
+    """The groups that items 0..count - 1 form when each (a, b) pair joins
+    two of them, by a union-find."""
+    parent = list(range(count))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]  # path halving
+            i = parent[i]
+        return i
+
+    for a, b in pairs:
+        a, b = root(a), root(b)
+        if a != b:
+            parent[a] = b
+            count -= 1
+    return count
+
+
+def _packing(lows: List[int], highs: List[int]) -> Tuple[List[int], int]:
+    """Per range [low, high] of one axis, the shift that packs it beside the
+    others, and the packed length. Ranges that overlap, directly or through
+    others, form a group and keep their relative place; the gaps between
+    groups close. So equal coordinates stay equal, unequal ones unequal, and
+    every shifted one lies in 0..length - 1, however far apart the ranges lie."""
+    order = sorted(range(len(lows)), key=lows.__getitem__)
+    shifts = [0] * len(lows)
+    base = top = lows[order[0]]
+    packed = 0  # where the current group starts once packed
+    for i in order:
+        if lows[i] > top:
+            packed += top - base + 1
+            base = lows[i]
+        top = max(top, highs[i])
+        shifts[i] = base - packed
+    return shifts, packed + top - base + 1
 
 
 def tessellate(curve: LatticeCurve, placements: Iterable[RigidMotion]) -> Tessellation:
-    """Place copies of a curve; overlap = total placed edges - unique edges."""
-    tiles = tuple(apply_motion(curve, m) for m in placements)
-    if not tiles:
+    """Place copies of a curve and count the union's edges, overlap and regions.
+
+    Every tile is keyed at once, as ``curve_stats`` keys one curve: a vertex
+    by x * height + y, from coordinates packed per axis (``_packing``), and an
+    edge by the sum of its ends' keys, odd for a vertical edge and even for a
+    horizontal one, since the height is even. Sorting the keys gives the
+    union's edges E and vertices V; a vertex on two tiles joins them, and as
+    every tile is connected, the tile groups are the components C: regions =
+    E - V + C. A rigid motion keeps distinct edges distinct, so each tile
+    places as many edges as the first. The tiles' segments, at least one per
+    tile, are capped at ``DEFAULT_EDGE_CAP`` before any tile is built, which
+    also keeps every key times the tile count within int64.
+    """
+    motions = list(placements)
+    if not motions:
         raise ValueError("tessellate needs at least one placement")
-    edge_sets = [tile.edge_set() for tile in tiles]
-    union = frozenset().union(*edge_sets)
-    return Tessellation(tiles, union, overlap_count=sum(map(len, edge_sets)) - len(union))
+    count = len(motions)
+    segments = count * max(curve.segment_count, 1)
+    if segments > DEFAULT_EDGE_CAP:
+        raise ResourceLimitError(
+            f"placements must make <= {DEFAULT_EDGE_CAP} segments, "
+            f"got {count} of {curve.segment_count} segments each ({segments})")
+    tiles = []
+    for i, motion in enumerate(motions):
+        try:
+            tiles.append(apply_motion(curve, motion))
+        except ValueError as exc:  # a translation that moves the tile past the bound
+            raise ValueError(f"placements[{i}]: {exc}") from None
+    coords = np.array([tile.path.T for tile in tiles]).transpose(1, 0, 2)  # x, y by tile
+    (shift_x, _), (shift_y, height) = map(_packing, coords.min(axis=2).tolist(),
+                                          coords.max(axis=2).tolist())
+    height += height % 2
+    coords -= np.array((shift_x, shift_y))[..., None]
+    keys = coords[0] * height
+    keys += coords[1]
+    del coords
+    edges = keys[:, :-1] + keys[:, 1:]
+    placed = count * _distinct_count(np.sort(edges[0]))
+    edges = edges.ravel()
+    edges.sort()
+    unique_edges = _distinct_count(edges)
+    del edges
+    tagged = keys * count  # a vertex's key and its tile, in one sortable integer
+    tagged += np.arange(count)[:, None]
+    tagged = tagged.ravel()
+    tagged.sort()
+    vertices = tagged // count
+    links = (vertices[1:] == vertices[:-1]) & (tagged[1:] != tagged[:-1])  # a vertex on two tiles
+    pairs = zip((tagged[:-1][links] % count).tolist(), (tagged[1:][links] % count).tolist())
+    return Tessellation(
+        tuple(tiles),
+        unique_edge_count=unique_edges,
+        overlap_count=placed - unique_edges,
+        bounded_region_count=unique_edges - _distinct_count(vertices)
+        + _group_count(count, set(pairs)),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .core import is_patterned_prime, patterned_sequence, primes_up_to
+from .core import classify_block, patterned_sequence, prime_array
 from .errors import InvariantError
 
 KIND_PATTERNED_PRIME_SMALL = "patterned_prime_small"
@@ -51,13 +51,20 @@ class PatternedDag:
         return both[last], cluster[last]
 
 
+def split_primes(limit: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The primes <= limit from one sieve, ascending as int64, and a flag per
+    prime marking the qualifying ones. The block classifier decides: a prime
+    qualifies when its match mask is nonzero, which by the prime theorem
+    (p <= 9 or digit 1 present) ``is_patterned_prime`` states in closed form."""
+    primes = prime_array(limit)
+    return primes, classify_block(primes)[1] != 0
+
+
 def partition_primes(limit: int) -> Tuple[List[int], List[int]]:
     """Primes <= limit from one sieve, split into the qualifying ones
     (p <= 9 or digit 1 present) and the gap primes (> 9 and no digit 1)."""
-    patterned, gap = [], []
-    for p in primes_up_to(limit):
-        (patterned if is_patterned_prime(p, assume_prime=True) else gap).append(p)
-    return patterned, gap
+    primes, qualifies = split_primes(limit)
+    return primes[qualifies].tolist(), primes[~qualifies].tolist()
 
 
 def patterned_primes(limit: int) -> List[int]:
@@ -90,7 +97,8 @@ def build_dag(
     if not isinstance(limit, int) or limit < 2:
         raise ValueError(f"limit must be an integer >= 2, got {limit!r}")
     members = np.array(patterned_sequence(limit), dtype=np.int64)
-    pp, gp = (np.array(ps, dtype=np.int64) for ps in partition_primes(limit))
+    primes, qualifies = split_primes(limit)
+    pp, gp = primes[qualifies], primes[~qualifies]
     nodes = np.sort(np.concatenate((members, gp))) if include_gap_primes else members
     kinds = np.zeros(len(nodes), dtype=np.uint8)  # KIND_PATTERNED_COMPOSITE
     kinds[np.searchsorted(nodes, pp)] = 1 + (pp > 9)  # KIND_PATTERNED_PRIME_SMALL or _DIGIT1

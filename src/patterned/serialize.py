@@ -12,7 +12,7 @@ from typing import IO, Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
 
-from .core import TURN_OF_PARITY
+from .core import BLOCK_MAX, TURN_OF_PARITY
 from .curves import LatticeCurve, Tessellation
 from .graphs import PatternedDag
 
@@ -77,6 +77,18 @@ def profile_json_entries(blocks: Iterable[tuple]) -> Iterator[dict]:
             yield {"n": n, "digits": digits[d | ("0" in str(n))], "small_divisors": digits[s],
                    "matches": digits[m], "match_count": count, "patterned": True,
                    "turn": TURN_OF_PARITY[count & 1]}
+
+
+_PRIME_LINES = ("%d,gap\n", "%d,patterned\n")  # by the qualifying flag
+
+
+def prime_csv_rows(primes: np.ndarray, qualifies: np.ndarray) -> Iterator[str]:
+    """`primes` CSV lines in prime order: the line formats of a block of
+    primes, joined, are applied once."""
+    for start in range(0, len(primes), BLOCK_MAX):
+        block = slice(start, start + BLOCK_MAX)
+        lines = "".join([_PRIME_LINES[q] for q in qualifies[block].tolist()])
+        yield lines % tuple(primes[block].tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -359,6 +359,18 @@ class TestTessellate:
         assert err.startswith("error: placements must be valid JSON: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("translation", [[2**62 + 1, 0], [0, -(2**62) - 1],
+                                             [9223372036854775807, 0]])
+    def test_translation_bounded(self, capsys, tmp_path, translation):
+        out_file = tmp_path / "tess.svg"
+        placements = json.dumps([{"rotation": 0}, {"translation": translation}])
+        code, out, err = run(capsys, "tessellate", "--word", "RRRR",
+                             "--placements", placements, "--out", str(out_file))
+        assert code == 2 and out == ""
+        assert err == (f"error: placements[1] translation must be within +-2**62, "
+                       f"got {json.dumps(translation)}\n")
+        assert not out_file.exists()
+
     def test_reflect_false_does_not_reflect(self, capsys):
         outputs = [
             run(capsys, "tessellate", "--word", "LLR", "--placements", placements)
@@ -715,7 +727,7 @@ class TestSizeCaps:
     @pytest.fixture(autouse=True)
     def no_work(self, monkeypatch):
         for module, name in ((core, "_member_blocks"), (core, "classify_block"),
-                             (core, "primes_up_to"), (graphs, "primes_up_to"),
+                             (core, "prime_array"), (graphs, "prime_array"),
                              (core, "profile_blocks"), (curves, "trace"), (graphs, "build_dag"),
                              (dynamics, "run_walk"), (dynamics, "patterned_chain")):
             monkeypatch.setattr(module, name, _no_work)
@@ -767,3 +779,41 @@ class TestSizeCaps:
             code, _, err = run(capsys, *argv, str(cap + 1))
             assert code == 2 and err == f"error: {flag} must be <= {cap}, got {cap + 1}\n"
         assert run(capsys, "gen", "--limit", "14")[0] == 0  # the CSV streams: no cap
+
+    @pytest.mark.parametrize("command", [("curve",), ("dragon",), ("tessellate", "--placements",
+                                                                  ROTATIONS)])
+    def test_word_capped_before_parsing(self, capsys, tmp_path, command):
+        out_file = tmp_path / "out"
+        word = "LR" * (curves.DEFAULT_EDGE_CAP // 2) + "X"
+        code, out, err = run(capsys, *command, "--word", word, "--out", str(out_file))
+        assert code == 2 and out == ""
+        assert err == f"error: word must be <= {curves.DEFAULT_EDGE_CAP} letters, got {len(word)}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_tessellation_capped_before_any_tile(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.undo()
+        monkeypatch.setattr(curves, "apply_motion", _no_work)
+        monkeypatch.setattr(curves, "DEFAULT_EDGE_CAP", 12)
+        out_file = tmp_path / "out"
+        placements = json.dumps([{"rotation": r} for r in (0, 90, 180, 270, 0)])
+        code, out, err = run(capsys, "tessellate", "--word", "LLR", "--placements", placements,
+                             "--out", str(out_file))
+        assert code == 2 and out == ""
+        assert err == "error: placements must make <= 12 segments, got 5 of 3 segments each (15)\n"
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestOraclesStayOutOfCommands:
+    """The closed-form prime rule and the two region counters are test oracles:
+    no command may depend on them."""
+
+    def test_commands_succeed_with_the_oracles_broken(self, capsys, monkeypatch):
+        for module in (core, graphs, curves, cli, serialize):
+            for name in ("is_patterned_prime", "bounded_regions_euler", "bounded_regions_flood"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, _no_work)
+        for argv in (("primes", "--limit", "500"), ("primes", "--limit", "500", "--format", "json"),
+                     ("dag", "--limit", "500", "--gap-primes"),
+                     ("tessellate", "--word", "LLRLRRL", "--placements", ROTATIONS)):
+            code, out, err = run(capsys, *argv)
+            assert code == 0 and out and err == ""

@@ -24,6 +24,7 @@ from patterned.core import (
     is_patterned_two_digit,
     is_prime,
     patterned_sequence,
+    prime_array,
     primes_up_to,
     profile,
     scan_members,
@@ -157,6 +158,13 @@ class TestPrimes:
         sieved = set(primes_up_to(2000))
         for n in range(1, 2001):
             assert (n in sieved) == is_prime(n)
+
+    @pytest.mark.parametrize("limit", [1, 2, 3, 4, 10**4])
+    def test_prime_array_matches_trial_division(self, limit):
+        primes = prime_array(limit)
+        assert primes.dtype == np.int64
+        assert primes.tolist() == [n for n in range(1, limit + 1) if is_prime(n)]
+        assert primes_up_to(limit) == primes.tolist()
 
     def test_sieve_small_limits(self):
         assert primes_up_to(1) == []

@@ -1,6 +1,7 @@
 """Lattice curve, region counting, seahorse, motion and tessellation tests."""
 
 import random
+import time
 from itertools import product
 from pathlib import Path
 
@@ -185,7 +186,12 @@ class TestVertexArray:
                       lambda: trace("LR", start=(2**62, 0)),
                       lambda: curve_from_vertices(np.array([(2**64 - 1, 0), (2**64 - 2, 0)],
                                                            dtype=np.uint64)),
-                      lambda: apply_motion(trace("LR"), RigidMotion(translation=(2**63 - 1, 0)))):
+                      lambda: apply_motion(trace("LR"), RigidMotion(translation=(2**63 - 1, 0))),
+                      # Python ints past int64, which numpy would hold as floats or objects
+                      lambda: trace("LR", start=(2**63, 0)),
+                      lambda: trace("LR", start=(0, -(2**64))),
+                      lambda: curve_from_vertices([(2**64 - 1, 0), (2**64 - 2, 0)]),
+                      lambda: curve_from_vertices([(0, 2**70), (0, 2**70 + 1)])):
             with pytest.raises(ValueError, match=r"coordinates must be within \+-2\*\*62"):
                 build()
 
@@ -657,13 +663,20 @@ class TestIterateDragon:
         with pytest.raises(ValueError):
             iterate_dragon(trace("L"), -1)
 
+    def test_no_segments_returns_at_once(self):
+        empty = trace([])
+        start = time.perf_counter()
+        assert iterate_dragon(empty, 10**6) is empty
+        assert time.perf_counter() - start < 0.1
+
 
 class TestTessellate:
     def test_single_identity_placement(self):
         sq = trace("RRRR")
         tess = tessellate(sq, [RigidMotion()])
         assert tess.overlap_count == 0
-        assert tess.edges == sq.edge_set()
+        assert tess.edge_set() == sq.edge_set()
+        assert tess.unique_edge_count == 4 and tess.bounded_region_count == 1
 
     def test_two_identity_placements_fully_overlap(self):
         sq = trace("RRRR")
@@ -674,11 +687,12 @@ class TestTessellate:
         sq = trace("RRRR")
         tess = tessellate(sq, [RigidMotion(rotation=r) for r in (0, 90, 180, 270)])
         # four quadrant squares; each axis edge is shared by two placements
-        assert bounded_regions_flood(tess.edges) == 4
-        assert bounded_regions_euler(tess.edges) == 4
+        assert bounded_regions_flood(tess.edge_set()) == 4
+        assert bounded_regions_euler(tess.edge_set()) == 4
+        assert tess.bounded_region_count == 4
         assert tess.overlap_count == sum(
             len(t.edge_set()) for t in tess.tiles
-        ) - len(tess.edges)
+        ) - len(tess.edge_set())
         assert tess.overlap_count == 4
 
     def test_tile_order_matches_placements(self):
@@ -691,3 +705,64 @@ class TestTessellate:
     def test_rejects_empty_placements(self):
         with pytest.raises(ValueError):
             tessellate(trace("RRRR"), [])
+
+    @staticmethod
+    def assert_counts_match_oracles(tess, flood=True):
+        union = tess.edge_set()
+        assert tess.unique_edge_count == len(union)
+        assert tess.overlap_count == sum(len(t.edge_set()) for t in tess.tiles) - len(union)
+        assert tess.bounded_region_count == bounded_regions_euler(union)
+        if flood:
+            assert tess.bounded_region_count == bounded_regions_flood(union)
+
+    def test_counts_match_union_euler_and_flood_on_random_words(self):
+        rng = random.Random(12)
+        for _ in range(300):
+            word = "".join(rng.choice("LR") for _ in range(rng.randint(0, 24)))
+            motions = [
+                RigidMotion(rng.choice((0, 90, 180, 270)), rng.random() < 0.5,
+                            (rng.randint(-6, 6), rng.randint(-6, 6)))
+                for _ in range(rng.randint(1, 5))
+            ]
+            if rng.random() < 0.3:  # split the tiles apart
+                motions.append(RigidMotion(rng.choice((0, 90)), False, (40, rng.randint(-40, 40))))
+            if rng.random() < 0.3:  # a repeated tile
+                motions.append(rng.choice(motions))
+            self.assert_counts_match_oracles(tessellate(trace(word), motions))
+
+    def test_tiles_touching_at_a_vertex_only(self):
+        sq = trace("RRRR")  # the unit square [0, 1] x [-1, 0]
+        tess = tessellate(sq, [RigidMotion(), RigidMotion(translation=(1, 1))])
+        assert (tess.unique_edge_count, tess.overlap_count, tess.bounded_region_count) == (8, 0, 2)
+        self.assert_counts_match_oracles(tess)
+
+    def test_separate_tiles_count_their_regions_each(self):
+        sq = trace("RRRR")
+        for dx in (2, 10**6, 2**62 - 2):
+            tess = tessellate(sq, [RigidMotion(), RigidMotion(translation=(dx, 0))])
+            assert (tess.unique_edge_count, tess.bounded_region_count) == (8, 2)
+            self.assert_counts_match_oracles(tess, flood=dx < 100)
+        far = [RigidMotion(r, f, (x, y)) for r, f in ((0, False), (90, True))
+               for x, y in ((-2**62 + 40, 3), (0, 2**62 - 40), (7, 7))]
+        tess = tessellate(trace("LLRLLRLLRLLR"), far)
+        self.assert_counts_match_oracles(tess, flood=False)
+
+    def test_placements_times_segments_capped_before_any_tile(self, monkeypatch):
+        def no_tile(*args):
+            raise AssertionError("a tile was built before the cap was checked")
+
+        monkeypatch.setattr(curves, "apply_motion", no_tile)
+        monkeypatch.setattr(curves, "DEFAULT_EDGE_CAP", 12)
+        with pytest.raises(ResourceLimitError, match="placements must make <= 12 segments, "
+                                                     r"got 5 of 3 segments each \(15\)"):
+            tessellate(trace("LLR"), [RigidMotion()] * 5)
+        with pytest.raises(ResourceLimitError, match="placements"):
+            tessellate(trace([]), [RigidMotion()] * 13)  # a tile is at least one vertex
+        monkeypatch.undo()
+        monkeypatch.setattr(curves, "DEFAULT_EDGE_CAP", 12)
+        assert len(tessellate(trace("LLR"), [RigidMotion()] * 4).tiles) == 4
+
+    def test_tile_past_the_coordinate_bound_names_its_placement(self):
+        motions = [RigidMotion(), RigidMotion(translation=(2**62, 0))]
+        with pytest.raises(ValueError, match=r"placements\[1\]: coordinates must be within"):
+            tessellate(trace("LLR"), motions)

@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 from patterned import graphs
 from patterned.core import (
     is_patterned_divisor_first,
+    is_patterned_prime,
     is_prime,
     patterned_sequence,
+    prime_array,
     primes_up_to,
 )
 from patterned.errors import InvariantError
@@ -31,6 +33,7 @@ from patterned.graphs import (
     gap_statistics,
     partition_primes,
     patterned_primes,
+    split_primes,
     verify_acyclic_and_sort,
 )
 from patterned.serialize import dag_dot
@@ -222,9 +225,21 @@ class TestPrimePartition:
         assert not set(pp) & set(gp)
         assert sorted(pp + gp) == primes_up_to(10000)
 
+    def test_split_matches_closed_form_to_1e6(self):
+        primes, qualifies = split_primes(10**6)
+        assert primes.dtype == np.int64 and len(primes) == 78498
+        assert qualifies.tolist() == [is_patterned_prime(p, assume_prime=True)
+                                      for p in primes.tolist()]
+
+    def test_split_at_small_limits(self):
+        for limit, qualifying in ((1, []), (2, [True]), (3, [True, True]),
+                                  (23, [True] * 8 + [False])):
+            primes, qualifies = split_primes(limit)
+            assert qualifies.tolist() == qualifying and len(primes) == len(qualifying)
+
     def test_partition_primes_sieves_once(self, monkeypatch):
         sieves = []
-        monkeypatch.setattr(graphs, "primes_up_to", lambda n: sieves.append(n) or primes_up_to(n))
+        monkeypatch.setattr(graphs, "prime_array", lambda n: sieves.append(n) or prime_array(n))
         assert partition_primes(100) == (PATTERNED_PRIMES_100, GAP_PRIMES_100)
         assert sieves == [100]
         build_dag(100, include_gap_primes=True)
