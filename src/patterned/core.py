@@ -337,9 +337,15 @@ def scan_members(limit: Optional[int] = None, k: Optional[int] = None) -> Member
     return _members(np.concatenate(numbers)[:k].tolist(), np.concatenate(matches)[:k])
 
 
+def member_array(limit: int) -> np.ndarray:
+    """All qualifying n <= limit, ascending, as int64: the classifier's blocks joined."""
+    _check_positive(limit, "limit")
+    return np.concatenate([numbers for numbers, _, _ in _member_blocks(limit)])
+
+
 def patterned_sequence(limit: int) -> list:
     """All qualifying n <= limit, ascending."""
-    return scan_members(limit=limit).numbers
+    return member_array(limit).tolist()
 
 
 def turn_sequence(k: int) -> list:

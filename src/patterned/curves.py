@@ -10,7 +10,7 @@ iteration, and tessellations built from rigid-motion copies.
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import groupby, product, repeat
+from itertools import product, repeat
 from typing import Iterable, List, Tuple
 
 import numpy as np
@@ -200,7 +200,10 @@ def curve_from_vertices(vertices: Iterable[Point]) -> LatticeCurve:
 
 
 def max_run_length(labels: Iterable[str]) -> int:
-    return max((len(list(run)) for _, run in groupby(labels)), default=0)
+    """Length of the longest run of equal adjacent labels; 0 for no labels."""
+    word = np.fromiter(labels, object)
+    ends = np.flatnonzero(word[1:] != word[:-1])  # the last index of every run but the last
+    return int(np.diff(ends, prepend=-1, append=len(word) - 1).max())
 
 
 def _graph_components(adjacency: dict) -> int:
@@ -307,10 +310,10 @@ def curve_stats(curve: LatticeCurve) -> CurveStats:
     its offset from the bounding box's low corner as x * height + y; an edge's
     is twice its lower end's key, plus one when the edge is horizontal.
     """
-    path = curve.path
-    low, high = path.min(axis=0), path.max(axis=0)
-    x, y = (path - low).T
-    keys = x * (high[1] - low[1] + 1) + y
+    x, y = curve.path.T  # reduced a column at a time: numpy reduces axis 0 of (n + 1, 2) slowly
+    box = x.min(), y.min(), x.max(), y.max()
+    x, y = x - box[0], y - box[1]
+    keys = x * (box[3] - box[1] + 1) + y
     edges = _distinct_count(np.sort(2 * np.minimum(keys[:-1], keys[1:]) + (y[1:] == y[:-1])))
     keys.sort()
     repeats = keys[1:][keys[1:] == keys[:-1]]  # a vertex's key once per return to it
@@ -320,7 +323,7 @@ def curve_stats(curve: LatticeCurve) -> CurveStats:
         unique_edge_count=edges,
         revisited_vertex_count=revisits,
         bounded_region_count=edges - (len(keys) - len(repeats)) + 1,
-        bounding_box=(*low.tolist(), *high.tolist()),
+        bounding_box=tuple(map(int, box)),
         max_turn_run=max_run_length(curve.source_turns),
     )
 

@@ -2,18 +2,23 @@
 
 A command builds one %-format per row from its column kinds ("%d" for
 integers, ``serialize.REAL`` for reals, "%s" for text and for bools looked
-up in ``serialize.BOOL_TEXT``) and one per SVG path. Here hypothesis draws
-columns, rows, points and units and checks that those formats give the bytes
+up in ``serialize.BOOL_TEXT``); an SVG path looks each point up in a table
+of its distinct coordinates' texts. Here hypothesis draws columns, rows,
+points, traced words and units and checks that those formats give the bytes
 the per-cell reference of ``test_serialize`` gives.
 """
 
+from itertools import groupby
+from operator import neg
 from unittest import mock
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patterned import core, serialize
 from patterned.core import MAX_INT, profile
+from patterned.curves import COORD_BOUND, curve_stats, max_run_length, trace
 from test_serialize import member_block, ref_line, ref_path, ref_profile_row
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -49,6 +54,37 @@ def test_mixed_columns(row):
 )
 def test_svg_path(points, unit):
     assert serialize._svg_path(points, unit) == ref_path(points, unit)
+
+
+# A start this far inside the coordinate bound keeps every vertex of a word
+# of up to 200 letters inside it.
+near_bound = st.integers(COORD_BOUND - 1200, COORD_BOUND - 200)
+coordinate = st.one_of(st.integers(-(2**20), 2**20), near_bound, near_bound.map(neg))
+
+
+@given(
+    st.text(alphabet="LR", max_size=200),  # the empty word traces a one-vertex path
+    st.tuples(coordinate, coordinate),
+    st.sampled_from([1, 0.1, 1 / 3, 1e-300, 1e300]),  # 1e300 takes large coordinates to inf
+)
+def test_traced_svg_path(word, start, unit):
+    curve = trace(word, start=start)
+    with np.errstate(over="ignore"):
+        assert serialize._svg_path(curve.path, unit) == ref_path(curve.vertices, unit)
+    xs, ys = zip(*curve.vertices)
+    assert curve_stats(curve).bounding_box == (min(xs), min(ys), max(xs), max(ys))
+
+
+def ref_max_run(labels) -> int:
+    """The longest run of equal adjacent labels, by ``itertools.groupby``."""
+    return max((len(list(run)) for _, run in groupby(labels)), default=0)
+
+
+@given(st.one_of(st.text(alphabet="LR", max_size=300),
+                 st.lists(st.sampled_from(["L", "R", "LR", "", "a\x00", "a"]), max_size=40)))
+def test_max_run_length(labels):
+    assert max_run_length(labels) == ref_max_run(labels)
+    assert max_run_length(iter(labels)) == ref_max_run(labels)
 
 
 @settings(max_examples=300)
