@@ -224,7 +224,8 @@ def _parse_s_grid(grid: str) -> List[float]:
     if count > MAX_S_GRID_POINTS:
         raise ResourceLimitError(f"s_grid must be <= {MAX_S_GRID_POINTS} points, got {count}")
     if ":" in grid:
-        return [float(v) for v in np.linspace(start, stop, count)]
+        with np.errstate(invalid="ignore", over="ignore"):  # the sweep rejects non-finite points
+            return [float(v) for v in np.linspace(start, stop, count)]
     try:
         values = [float(v) for v in grid.split(",") if v.strip() != ""]
     except ValueError as exc:
@@ -238,7 +239,7 @@ def _chain_sites(cfg: RunConfig, cap: int) -> int:
     if cfg.sites is not None:
         return _require(cfg, "sites", cap)
     if cfg.limit is not None:
-        return len(core.patterned_sequence(_require(cfg, "limit", MAX_MEMBERS)))
+        return core.count_patterned(_require(cfg, "limit", MAX_MEMBERS))
     raise ValueError("either sites or limit is required for this command")
 
 
@@ -299,13 +300,14 @@ def _cmd_primes(cfg: RunConfig) -> int:
 def _cmd_turns(cfg: RunConfig) -> int:
     k = _require(cfg, "k", MAX_MEMBERS)
     members = core.scan_members(k=k)
+    numbers, turns = members.numbers.tolist(), core.turn_labels(members.matches)
     fmt = _format(cfg, "csv")
     with _out_stream(cfg.out) as stream:
         if fmt == "csv":
-            rows = zip(range(1, k + 1), members.numbers, members.turns)
+            rows = zip(range(1, k + 1), numbers, turns)
             serialize.write_csv(stream, ("index", "n", "turn"), map("%d,%d,%s\n".__mod__, rows))
         else:
-            payload = {"k": k, "numbers": members.numbers, "turns": members.turns}
+            payload = {"k": k, "numbers": numbers, "turns": turns}
             serialize.write_json(stream, payload)
     return 0
 

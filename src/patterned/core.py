@@ -54,11 +54,11 @@ class DensityReport:
 
 
 class Members(NamedTuple):
-    """Qualifying numbers, ascending, with their match counts and turn labels."""
+    """Qualifying numbers, ascending, as int64, with their uint16 match masks:
+    the classifier's blocks joined."""
 
-    numbers: List[int]
-    match_counts: List[int]
-    turns: List[str]
+    numbers: np.ndarray
+    matches: np.ndarray
 
 
 def _check_positive(n: int, name: str = "n") -> None:
@@ -87,6 +87,7 @@ _DIVISOR_MASKS = np.array(_DIVISORS, dtype=np.uint16)
 _CHUNK_MASKS = np.array(_CHUNK_DIGITS, dtype=np.uint16)
 _POPCOUNT = np.array([bin(m).count("1") for m in range(1024)], dtype=np.uint16)
 TURN_OF_PARITY = (TURN_RIGHT, TURN_LEFT)  # indexed by match-count parity
+_TURN_LABELS = np.array([TURN_OF_PARITY[c & 1] for c in _POPCOUNT.tolist()], dtype=object)
 del _DIVISORS, _CHUNK_DIGITS, _d, _r
 
 
@@ -178,11 +179,6 @@ def _member_blocks(limit: int) -> Iterator[Tuple[np.ndarray, ...]]:
         keep = matches != 0
         yield numbers[keep], digits[keep], matches[keep]
         low, size = high + 1, min(4 * size, BLOCK_MAX)
-
-
-def _members(numbers: list, matches: np.ndarray) -> Members:
-    counts = _POPCOUNT[matches].tolist()
-    return Members(numbers, counts, [TURN_OF_PARITY[c & 1] for c in counts])
 
 
 def _mask_set(mask: int) -> frozenset:
@@ -334,23 +330,22 @@ def scan_members(limit: Optional[int] = None, k: Optional[int] = None) -> Member
         found += block.size
         if limit is None and found >= k:
             break
-    return _members(np.concatenate(numbers)[:k].tolist(), np.concatenate(matches)[:k])
+    return Members(np.concatenate(numbers)[:k], np.concatenate(matches)[:k])
 
 
-def member_array(limit: int) -> np.ndarray:
-    """All qualifying n <= limit, ascending, as int64: the classifier's blocks joined."""
-    _check_positive(limit, "limit")
-    return np.concatenate([numbers for numbers, _, _ in _member_blocks(limit)])
+def turn_labels(matches: np.ndarray) -> List[str]:
+    """The turn label of each match mask: L for an odd number of matches, else R."""
+    return _TURN_LABELS[matches].tolist()
 
 
 def patterned_sequence(limit: int) -> list:
     """All qualifying n <= limit, ascending."""
-    return member_array(limit).tolist()
+    return scan_members(limit=limit).numbers.tolist()
 
 
 def turn_sequence(k: int) -> list:
     """Turn labels of the first k qualifying numbers."""
-    return scan_members(k=k).turns
+    return turn_labels(scan_members(k=k).matches)
 
 
 def count_and_density(limit: int) -> DensityReport:
@@ -414,18 +409,20 @@ def site_energies(
     for name, value in (("alpha", alpha), ("beta", beta)):
         if not (value == value and abs(value) != float("inf")):
             raise ValueError(f"{name} must be finite, got {value}")
-    if not isinstance(members, Members):
+    if isinstance(members, Members):
+        matches = members.matches
+    else:
         numbers = list(members)
         for n in numbers:
             _check_positive(n)
         _, matches = classify_block(np.array(numbers, dtype=np.int64))
-        for n, m in zip(numbers, matches.tolist()):
-            if not m:
-                raise ValueError(f"site energy is undefined for {n}: no digit-divisor match")
-        members = _members(numbers, matches)
-    before = [prev_turn] + members.turns[:-1]
-    energies = [
-        alpha * count + beta * (1.0 if prev == label else 0.0)
-        for count, label, prev in zip(members.match_counts, members.turns, before)
-    ]
-    return energies, members.turns
+        if not matches.all():
+            n = numbers[int(np.argmin(matches))]
+            raise ValueError(f"site energy is undefined for {n}: no digit-divisor match")
+    counts = _POPCOUNT[matches]
+    parity = counts & 1
+    # the parity of the turn before each member; 2, matching none, for no turn
+    before = np.concatenate(([TURN_OF_PARITY.index(prev_turn) if prev_turn else 2], parity[:-1]))
+    with np.errstate(over="ignore"):  # as in float arithmetic, a sum past the range is inf
+        energies = float(alpha) * counts + float(beta) * (parity == before)
+    return energies.tolist(), turn_labels(matches)

@@ -25,6 +25,7 @@ from .core import (
     TURN_RIGHT,
     scan_members,
     site_energies,
+    turn_labels,
     turn_sequence,
 )
 from .errors import ConvergenceError, InvariantError, ResourceLimitError
@@ -302,14 +303,14 @@ def patterned_chain(
         raise ValueError(f"omega must be finite and > 0, got {omega}")
     members = scan_members(k=n_sites)
     if omega_mode == OMEGA_FROM_ENERGY:
-        omegas = tuple(site_energies(members, alpha, beta)[0])
-        if min(omegas) <= 0:
-            raise ValueError(f"alpha {alpha} and beta {beta} give a site energy of "
-                             f"{min(omegas)}; site energies must be positive")
+        omegas, turns = site_energies(members, alpha, beta)
+        bad = min(omegas) if min(omegas) <= 0 else max(omegas)
+        if not 0 < bad < math.inf:
+            raise ValueError(f"alpha {alpha} and beta {beta} give a site energy of {bad}; "
+                             f"site energies must be {'positive' if bad <= 0 else 'finite'}")
     else:
-        omegas = (float(omega),) * n_sites
-    turns = tuple(members.turns[:-1])
-    return OscillatorChain(omegas=omegas, g_L=g_L, g_R=g_R, turns=turns, s=s)
+        omegas, turns = [float(omega)] * n_sites, turn_labels(members.matches)
+    return OscillatorChain(omegas=tuple(omegas), g_L=g_L, g_R=g_R, turns=tuple(turns[:-1]), s=s)
 
 
 def build_single_excitation_hamiltonian(chain: OscillatorChain) -> SymTridiag:

@@ -11,7 +11,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .core import classify_block, member_array, patterned_sequence, prime_array
+from .core import classify_block, patterned_sequence, prime_array, scan_members
 from .errors import InvariantError
 
 KIND_PATTERNED_PRIME_SMALL = "patterned_prime_small"
@@ -96,7 +96,7 @@ def build_dag(
     """
     if not isinstance(limit, int) or limit < 2:
         raise ValueError(f"limit must be an integer >= 2, got {limit!r}")
-    members = member_array(limit)
+    members = scan_members(limit=limit).numbers
     primes, qualifies = split_primes(limit)
     pp, gp = primes[qualifies], primes[~qualifies]
     nodes = np.sort(np.concatenate((members, gp))) if include_gap_primes else members

@@ -173,6 +173,31 @@ class TestCurve:
         assert code == 2
         assert "word" in err
 
+    @pytest.mark.parametrize("command", [("curve",), ("dragon", "--generations", "2"),
+                                         ("tessellate", "--placements", '[{"rotation": 90}]')])
+    @pytest.mark.parametrize("unit", ["inf", "1e308", "5e307"])
+    def test_unit_must_keep_the_drawing_finite(self, capsys, tmp_path, command, unit):
+        out_file = tmp_path / "out.svg"
+        code, out, err = run(capsys, *command, "--word", "LLLLRRLR", "--unit", unit,
+                             "--out", str(out_file))
+        assert code == 2 and out == "" and not out_file.exists()
+        assert err == f"error: unit must keep the drawing finite, got {float(unit)}\n"
+
+    @pytest.mark.parametrize("unit, shown", [("1e400", "inf"), ("1e308", "1e+308")])
+    def test_unit_from_config_must_keep_the_drawing_finite(self, capsys, tmp_path, unit, shown):
+        config = tmp_path / "curve.json"
+        config.write_text(f'{{"word": "LL", "unit": {unit}}}')  # JSON reads 1e400 as inf
+        code, out, err = run(capsys, "curve", "--config", str(config))
+        assert code == 2 and out == ""
+        assert err == f"error: unit must keep the drawing finite, got {shown}\n"
+
+    def test_largest_finite_drawing_is_written(self, capsys):
+        # the view box of LL is -1 -1 3 3 units wide: 5e307 keeps every corner finite
+        code, out, err = run(capsys, "curve", "--word", "LL", "--unit", "5e307")
+        assert code == 0 and err == ""
+        assert 'viewBox="-5e+307 -5e+307 1.5e+308 1.5e+308"' in out
+        assert "inf" not in out and "nan" not in out
+
 
 WORD_300 = (
     "LRLLRRRLLLLRLRLRRLRRRRRLRLRRRLRLRRRRLRRLRRRRRRLLLLLRRLRLLRRRRRRRRLRRLLLRRRLRRRRR"
@@ -508,6 +533,26 @@ class TestModes:
         assert code == 2 and out == ""
         assert err == f"error: {message}; site energies must be positive\n"
 
+    @pytest.mark.parametrize("command", ["modes", "sweep"])
+    @pytest.mark.parametrize("argv, message", [
+        (("--alpha", "1e308", "--beta", "1e308"), "alpha 1e+308 and beta 1e+308"),
+        (("--alpha", "1e308"), "alpha 1e+308 and beta 0.5"),  # the 12th site matches twice
+    ])
+    def test_infinite_site_energy_names_alpha_and_beta(self, capsys, tmp_path, command, argv,
+                                                       message):
+        out_file = tmp_path / "out.csv"
+        code, out, err = run(capsys, command, "--sites", "12", *argv, "--out", str(out_file))
+        assert code == 2 and out == "" and not out_file.exists()
+        assert err == f"error: {message} give a site energy of inf; site energies must be finite\n"
+
+    def test_infinite_site_energy_from_config(self, capsys, tmp_path):
+        config = tmp_path / "chain.json"
+        config.write_text('{"sites": 3, "alpha": 1e308, "beta": 1e308}')
+        code, out, err = run(capsys, "sweep", "--config", str(config))
+        assert code == 2 and out == ""
+        assert err == ("error: alpha 1e+308 and beta 1e+308 give a site energy of inf; "
+                       "site energies must be finite\n")
+
 
 class TestSweep:
     def test_grid_rows(self, capsys):
@@ -530,6 +575,14 @@ class TestSweep:
     def test_bad_grid_rejected(self, capsys):
         code, _, err = run(capsys, "sweep", "--sites", "4", "--s-grid", "0:1")
         assert code == 2
+
+    @pytest.mark.parametrize("grid, shown", [("0:inf:3", "nan"), ("-1e308:1e308:3", "nan"),
+                                             ("nan:1:3", "nan")])
+    def test_non_finite_range_is_one_error_line(self, capsys, grid, shown):
+        # the range's points are rejected by the sweep, without numpy's overflow warning
+        code, out, err = run(capsys, "sweep", "--sites", "4", f"--s-grid={grid}")
+        assert code == 2 and out == ""
+        assert err == f"error: s grid values must lie in [0, 1], got {shown}\n"
 
     @pytest.mark.parametrize("grid", ["0:1:x", "0:y:5", "0:1:5.0"])
     def test_unparsable_range_names_s_grid(self, capsys, grid):

@@ -211,9 +211,9 @@ class TestSequence:
 
     def test_first_k_prefix(self):
         for k in (1, 12, 69, 733, 734, 2000):
-            first = scan_members(k=k)
-            assert len(first.numbers) == k
-            assert first.numbers == patterned_sequence(first.numbers[-1])
+            first = scan_members(k=k).numbers.tolist()
+            assert len(first) == k
+            assert first == patterned_sequence(first[-1])
 
 
 class TestCountAndDensity:
@@ -354,8 +354,9 @@ class TestBlockClassifier:
         for n, mask in zip(numbers.tolist(), matches.tolist()):
             assert bin(mask).count("1") == oracle_match_count(n)
         first = scan_members(k=5000)
-        assert first.match_counts == [oracle_match_count(n) for n in first.numbers]
-        assert first.turns == ["L" if c % 2 else "R" for c in first.match_counts]
+        counts = [bin(m).count("1") for m in first.matches.tolist()]
+        assert counts == [oracle_match_count(n) for n in first.numbers.tolist()]
+        assert core.turn_labels(first.matches) == ["L" if c % 2 else "R" for c in counts]
 
     def test_windows_around_block_boundaries(self):
         members = set(patterned_sequence(10**6))

@@ -17,6 +17,7 @@ from patterned.curves import (
     bounded_regions_flood,
     curve_from_vertices,
     curve_stats,
+    distinct_ranks,
     is_seahorse,
     iterate_dragon,
     max_run_length,
@@ -563,6 +564,14 @@ class TestRigidMotion:
         with pytest.raises(ValueError, match="translation must be an integer vector"):
             RigidMotion(translation=translation)
 
+    @pytest.mark.parametrize("translation", [(5,), (1, 2, 3), (), 5, "12", {1: 2, 3: 4}])
+    def test_translation_is_exactly_two_integers(self, translation):
+        with pytest.raises(ValueError, match=r"translation must be an integer vector \(x, y\)"):
+            RigidMotion(translation=translation)
+
+    def test_translation_list_of_two_accepted(self):
+        assert RigidMotion(translation=[2, -3]).apply_point((1, 1)) == (3, -2)
+
 
 class TestApplyMotion:
     def test_identity(self):
@@ -729,6 +738,14 @@ class TestTessellate:
             if rng.random() < 0.3:  # a repeated tile
                 motions.append(rng.choice(motions))
             self.assert_counts_match_oracles(tessellate(trace(word), motions))
+
+    @pytest.mark.parametrize("values", [[5], [3, -1, 3, 2**62, -2**62, 0, -1],
+                                        list(range(9, -3, -1))])
+    def test_distinct_ranks(self, values):
+        values = np.array(values, dtype=np.int64)
+        distinct, ranks = distinct_ranks(values)
+        assert distinct.tolist() == sorted(set(values.tolist()))
+        assert distinct[ranks].tolist() == values.tolist()
 
     def test_tiles_touching_at_a_vertex_only(self):
         sq = trace("RRRR")  # the unit square [0, 1] x [-1, 0]

@@ -165,7 +165,7 @@ class TestFloatRows:
 class TestOtherRows:
     def test_turns(self, capsys):
         members = core.scan_members(k=300)
-        rows = zip(range(1, 301), members.numbers, members.turns)
+        rows = zip(range(1, 301), members.numbers.tolist(), core.turn_labels(members.matches))
         assert run(capsys, "turns", "--k", 300) == ref_csv(("index", "n", "turn"), rows)
 
     def test_primes(self, capsys):
@@ -209,6 +209,17 @@ class TestSvg:
                    curves.RigidMotion(rotation=180, reflect=True, translation=(-7, -11))]
         tess = curves.tessellate(curves.trace("RRLRL"), motions)
         assert out == ref_svg([(f"tile-{i}", t) for i, t in enumerate(tess.tiles)], unit)
+
+    @pytest.mark.parametrize("start, finite", [((10, 0), False), ((0, 10), False), ((0, 0), True)])
+    def test_unit_checked_at_every_far_corner(self, start, finite):
+        # LL from (10, 0): x spans 9..12 with its margin, and of the view box and
+        # far corners only 12 * unit overflows; from (0, 10) y and the flip offset do
+        curve = curves.trace("LL", start=start)
+        if finite:
+            assert "inf" not in serialize.curve_svg(curve, 1.6e307)
+        else:
+            with pytest.raises(ValueError, match="unit must keep the drawing finite, got 1.6e"):
+                serialize.curve_svg(curve, 1.6e307)
 
     def test_single_vertex_path(self):
         assert serialize._svg_path([(-2, 3)], 0.5) == ref_path([(-2, 3)], 0.5) == "M -1 1.5"
