@@ -481,6 +481,19 @@ class TestWalk:
         assert code == 2 and out == ""
         assert err == "error: initial_coin must be 'L' or 'R', got 'X'\n"
 
+    @pytest.mark.parametrize("name, argv", [
+        ("walk_s69_t200", ("--sites", "69", "--steps", "200")),
+        # exponent cells down to e-47, exact zeros and the 1 of step 0
+        ("walk_absorbing_s40_t120", ("--sites", "40", "--steps", "120", "--boundary", "absorbing",
+                                     "--theta-l", "1.5", "--theta-r", "-1.55",
+                                     "--initial-site", "20", "--initial-coin", "L")),
+    ])
+    def test_golden(self, capsys, tmp_path, name, argv):
+        out_file = tmp_path / "walk.csv"
+        code, out, err = run(capsys, "walk", *argv, "--out", str(out_file))
+        assert (code, out, err) == (0, "", "")
+        assert out_file.read_bytes() == (GOLDENS / f"{name}.csv").read_bytes()
+
     def test_norm_drift_exits_3(self, capsys, monkeypatch, tmp_path):
         real = dynamics._step_amplitudes
         monkeypatch.setattr(dynamics, "_step_amplitudes", lambda *a: 1.001 * real(*a))
