@@ -14,6 +14,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 import typing
 from contextlib import contextmanager, suppress
@@ -235,12 +236,21 @@ def _parse_s_grid(grid: str) -> List[float]:
     return values
 
 
-def _chain_sites(cfg: RunConfig, cap: int) -> int:
+def _chain_sites(cfg: RunConfig, low: int, cap: int) -> int:
+    """The chain's sites, given or counted from limit. A count outside
+    low..cap is reported against limit, the flag that was given."""
     if cfg.sites is not None:
         return _require(cfg, "sites", cap)
-    if cfg.limit is not None:
-        return core.count_patterned(_require(cfg, "limit", MAX_MEMBERS))
-    raise ValueError("either sites or limit is required for this command")
+    if cfg.limit is None:
+        raise ValueError("either sites or limit is required for this command")
+    limit = _require(cfg, "limit", MAX_MEMBERS)
+    n = core.count_patterned(limit)
+    if n < low:
+        raise ValueError(f"limit must give >= {low} chain sites, got {limit}, which gives {n}")
+    if n > cap:
+        raise ResourceLimitError(f"limit must give <= {cap} chain sites, got {limit}, "
+                                 f"which gives {n}")
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -400,23 +410,21 @@ def _cmd_dag(cfg: RunConfig) -> int:
 
 
 def _cmd_walk(cfg: RunConfig) -> int:
-    n = _chain_sites(cfg, MAX_MEMBERS)
+    n = _chain_sites(cfg, 2, MAX_MEMBERS)
     coins = dynamics.CoinSpec(theta_L=cfg.theta_l, theta_R=cfg.theta_r)
     series = dynamics.run_walk(
         n, cfg.steps, coins=coins, initial_site=cfg.initial_site,
         initial_coin=cfg.initial_coin, boundary=cfg.boundary,
     )
     header = ("step",) + tuple(f"site_{i}" for i in range(1, n + 1))
-    line = "%d" + f",{serialize.REAL}" * n + "\n"
-    rows = (line % (step, *row.tolist()) for step, row in enumerate(series))
     with _out_stream(cfg.out) as stream:
-        serialize.write_csv(stream, header, rows)
+        serialize.write_csv(stream, header, serialize.real_csv_rows(series))
     return 0
 
 
-def _build_chain(cfg: RunConfig) -> dynamics.OscillatorChain:
+def _build_chain(cfg: RunConfig, low: int) -> dynamics.OscillatorChain:
     return dynamics.patterned_chain(
-        _chain_sites(cfg, tridiag.MAX_DENSE_SITES),
+        _chain_sites(cfg, low, tridiag.MAX_DENSE_SITES),
         g_L=cfg.g_l,
         g_R=cfg.g_r,
         s=cfg.s,
@@ -428,7 +436,7 @@ def _build_chain(cfg: RunConfig) -> dynamics.OscillatorChain:
 
 
 def _cmd_modes(cfg: RunConfig) -> int:
-    chain = _build_chain(cfg)
+    chain = _build_chain(cfg, 1)
     spectrum = dynamics.eigensystem(dynamics.build_single_excitation_hamiltonian(chain))
     values, ratios = spectrum.eigenvalues.tolist(), spectrum.participation_ratios.tolist()
     line = f"%d,{serialize.REAL},{serialize.REAL}\n"
@@ -439,7 +447,7 @@ def _cmd_modes(cfg: RunConfig) -> int:
 
 
 def _cmd_sweep(cfg: RunConfig) -> int:
-    chain = _build_chain(cfg)
+    chain = _build_chain(cfg, 2)
     points = dynamics.adiabatic_sweep(chain, _parse_s_grid(cfg.s_grid))
     header = tuple(f.name for f in dataclasses.fields(dynamics.SweepPoint))
     line = ",".join([serialize.REAL] * len(header)) + "\n"
@@ -465,8 +473,39 @@ _COMMANDS = {
 }
 
 
+# A value that argparse would read as an option: it reads -1 and -.5 as values,
+# but not -1e308, -inf or the s grid -1:0:3.
+_NEGATIVE_VALUE = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser that joins a negative value to the flag before it
+    (``--alpha -1e308`` is read as ``--alpha=-1e308``) when the flag takes one
+    value. Each subcommand's parser joins its own flags."""
+
+    def __init__(self, *args, **kwargs):
+        self.value_flags = set()
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.nargs is None:
+            self.value_flags.update(action.option_strings)
+        return action
+
+    def parse_known_args(self, args=None, namespace=None):
+        joined = []
+        for token in sys.argv[1:] if args is None else args:
+            if (joined and joined[-1] in self.value_flags and _NEGATIVE_VALUE.match(token)
+                    and "--" not in joined):
+                joined[-1] += "=" + token
+            else:
+                joined.append(token)
+        return super().parse_known_args(joined, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="patterned",
         description="Digit-divisor numbers: sequences, curves, DAGs, dynamics.",
     )

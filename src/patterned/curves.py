@@ -420,8 +420,8 @@ def iterate_dragon(
     path, quarter = curve.path, RigidMotion(90).matrix
     for _ in range(generations):
         if 2 * (len(path) - 1) > max_edges:
-            raise ResourceLimitError(f"doubling past {len(path) - 1} segments exceeds "
-                                     f"the cap of {max_edges} edges")
+            raise ResourceLimitError(f"generations {generations} would double {len(path) - 1} "
+                                     f"segments past the max_edges cap of {max_edges}")
         turned = _moved(path, quarter, 0)
         path = np.concatenate((path, turned[1:] + (path[-1] - turned[0])))
     return LatticeCurve(path, (), _last_step_heading(path))

@@ -5,8 +5,11 @@ rewrites (node, coin) to (next node, turn label), ignoring the incoming coin,
 and its geometric trajectory must reproduce the traced curve. The coined walk
 is a proper unitary: a per-site coin rotation whose angle is selected by the
 site's turn label, followed by a coin-conditioned shift with reflecting ends.
-Both walk entries check their input once and step bare arrays through one
-kernel; ``run_walk`` checks the norm once, after the last step.
+Both walk entries check their input once. Real coins on a real start keep
+every amplitude real, so ``run_walk`` steps two float64 arrays in place, with
+the products and sums of the complex kernel of ``unitary_walk_step`` in the
+same order, and gives the same bits; it checks the norm once, after the last
+step.
 
 Oscillator physics is computed entirely in the single-excitation sector,
 where the interpolated chain Hamiltonian is a real symmetric tridiagonal
@@ -156,6 +159,20 @@ def _step_amplitudes(amp, cos_t, sin_t, reflecting: bool) -> np.ndarray:
     return out
 
 
+def _step_real(a_l, a_r, cos_t, sin_t, reflecting: bool, rot_l, rot_r) -> None:
+    """``_step_amplitudes`` on real amplitudes, in place: the same products and
+    sums in the same order, into the work arrays rot_l and rot_r."""
+    np.multiply(cos_t, a_l, out=rot_l)
+    np.multiply(sin_t, a_r, out=rot_r)
+    rot_l -= rot_r  # cos_t * a_l - sin_t * a_r
+    np.multiply(sin_t, a_l, out=rot_r)
+    np.multiply(cos_t, a_r, out=a_l)
+    rot_r += a_l  # sin_t * a_l + cos_t * a_r
+    a_l[:-1] = rot_l[1:]
+    a_r[1:] = rot_r[:-1]
+    a_l[-1], a_r[0] = (rot_r[-1], rot_l[0]) if reflecting else (0.0, 0.0)
+
+
 def unitary_walk_step(
     state: WalkState,
     coins: CoinSpec,
@@ -218,12 +235,16 @@ def run_walk(
     turns = turn_sequence(n_positions)
     cos_t, sin_t = _coin_cos_sin(coins, turns)
     reflecting = boundary == BOUNDARY_REFLECTING
-    amp = localized_state(n_positions, initial_site, initial_coin).amplitudes
+    a_l, a_r, rot_l, rot_r = np.zeros((4, n_positions))
+    (a_l if initial_coin == TURN_LEFT else a_r)[initial_site - 1] = 1.0
     series = np.empty((steps + 1, n_positions))
-    series[0] = np.sum(np.abs(amp) ** 2, axis=1)
-    for i in range(1, steps + 1):
-        amp = _step_amplitudes(amp, cos_t, sin_t, reflecting)
-        series[i] = np.sum(np.abs(amp) ** 2, axis=1)
+    for i in range(steps + 1):
+        if i:
+            _step_real(a_l, a_r, cos_t, sin_t, reflecting, rot_l, rot_r)
+        row = series[i]
+        np.multiply(a_l, a_l, out=row)
+        np.multiply(a_r, a_r, out=rot_l)  # rot_l is free until the next step
+        row += rot_l
     drift = np.max(np.abs(np.sqrt(series.sum(axis=1)) - 1.0)) if reflecting else 0.0
     if not drift <= NORM_TOL:
         raise InvariantError(f"walk norm drifted from 1 by {drift:.3e}, over {NORM_TOL:.0e}")

@@ -4,12 +4,16 @@ All numeric formatting is explicit (reals at 12 significant digits) and all
 iteration orders are fixed, so identical inputs serialize to identical bytes.
 Each CSV row is formatted whole, by one %-format or one lookup table per
 command, not by a Python call per cell; an SVG path formats each distinct
-coordinate once and looks the rest up.
+coordinate once and looks the rest up. The walk's probability table is
+written a block of cells at a time by ``real_csv_rows``: its cells in (0, 1)
+are formatted in numpy, exactly as '%.12g' formats them, and the few it cannot
+place exactly go to '%.12g' one by one.
 """
 
 import json
 import math
 from functools import cache
+from types import SimpleNamespace
 from typing import IO, Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
@@ -91,6 +95,190 @@ def prime_csv_rows(primes: np.ndarray, qualifies: np.ndarray) -> Iterator[str]:
         block = slice(start, start + BLOCK_MAX)
         lines = "".join([_PRIME_LINES[q] for q in qualifies[block].tolist()])
         yield lines % tuple(primes[block].tolist())
+
+
+# ---------------------------------------------------------------------------
+# real tables
+# ---------------------------------------------------------------------------
+
+# Every cell of a block is laid out in a slot of SLOT bytes, from which a mask
+# keeps the bytes of its text. A cell slot holds ",0.000" (the lead of the fixed
+# texts 0.d to 0.000d), the first digit again and "." (the lead of d.de-XX), the
+# 12 rounded digits as three 4-byte groups, and "e-XX". Each row has a slot
+# before its cells: "\n", ending the row before, at byte 11 and the row index,
+# zero-padded to 12 digits, after it.
+SLOT = 24
+BLOCK_CELLS = 2048  # cells per block: the work arrays take about 300 kB
+TINY = 1e-99  # below it the exponent has three digits
+GUARD = 2e-3  # the largest error of m is 3e-4
+_CELL_LEAD = b",0.000?."
+_PADDED_REAL = f",%-{SLOT - 1}.12g"  # '%.12g' padded with spaces to fill a slot
+# Slot codes: 12 * form + digits - 1 for a cell of 1-12 significant digits (form
+# 0-3 the fixed texts, 4 the exponent text); _ZERO for +0.0; _ROW + d for a row
+# index of d digits, _ROW + 12 + d with the newline; _EMPTY for the row slot of
+# a row's later blocks; _TEXT + k for k bytes written by '%.12g'.
+_ZERO, _ROW, _EMPTY, _TEXT = 60, 60, 85, 85
+
+
+@cache
+def _real_tables() -> SimpleNamespace:
+    """The lookups of ``real_csv_rows``, built on its first call. Tables by the
+    decimal exponent X of a cell are indexed by X + 100, for X in -100..0."""
+    keep = np.zeros((_TEXT + SLOT + 1, SLOT), dtype=bool)
+    for d in range(1, 13):
+        for form in range(4):
+            keep[12 * form + d - 1, [0, 1, 2, *range(3, 3 + form), *range(8, 8 + d)]] = True
+        keep[48 + d - 1, [0, 6, *[7] * (d > 1), *range(9, 8 + d), 20, 21, 22, 23]] = True
+        keep[_ROW + d, SLOT - d:] = True
+        keep[_ROW + 12 + d, [11, *range(SLOT - d, SLOT)]] = True
+    keep[_ZERO, :2] = True
+    for k in range(1, SLOT + 1):
+        keep[_TEXT + k, :k] = True
+    quad = np.arange(10_000)
+    digits = np.empty((10_000, 4), dtype=np.uint8)
+    for i, place in enumerate((1000, 100, 10, 1)):
+        digits[:, i] = quad // place % 10 + ord("0")
+    trailing = (quad == 0).astype(np.uint8)
+    for place in (10, 100, 1000):
+        trailing += quad % place == 0
+    exponents = range(-100, 1)
+    return SimpleNamespace(
+        keep=keep,
+        length=keep.sum(axis=1),
+        quads=digits.view(np.uint32).ravel(),  # the 4-digit text of 0..9999
+        trailing=trailing,  # its trailing zeros, 4 for 0
+        scale=np.array([float(10 ** (11 - x)) for x in exponents]),  # correctly rounded
+        code=np.array([12 * min(4, max(0, -1 - x)) + 11 for x in exponents], dtype=np.intp),
+        exp=np.frombuffer(b"".join(b"e-%02d" % min(99, -x) for x in exponents), np.uint32),
+        tens=10 ** np.arange(1, 12, dtype=np.int64),
+    )
+
+
+def _round_cells(t: SimpleNamespace, x: np.ndarray, work: tuple) -> tuple:
+    """Slot codes and digit groups of a block of cells, held in the work
+    arrays: (code, hi, mid, lo, ix, bad). ``bad`` marks the cells that
+    '%.12g' must format; hi, mid and lo are the three 4-digit groups of the
+    12 rounded digits, ix is X + 100, and code counts their significant
+    digits."""
+    k = len(x)
+    v, m, r = work[0][:, :k]
+    ix, hi, mid, lo, code = work[1][:, :k]
+    tz, part = work[2][:, :k]
+    ok, bad, flag = work[3][:, :k]
+    np.greater_equal(x, TINY, out=ok)
+    np.less(x, 1.0, out=flag)
+    ok &= flag
+    v.fill(0.5)
+    np.copyto(v, x, where=ok)
+    np.log10(v, out=m)
+    np.floor(m, out=m)
+    m += 100
+    np.copyto(ix, m, casting="unsafe")
+    np.take(t.scale, ix, out=m, mode="clip")
+    m *= v
+    np.rint(m, out=r)
+    np.subtract(m, r, out=v)
+    np.abs(v, out=v)
+    np.greater(v, 0.5 - GUARD, out=bad)
+    np.less(m, 1e11, out=flag)
+    bad |= flag
+    np.greater_equal(r, 1e12, out=flag)
+    bad |= flag
+    np.logical_not(ok, out=flag)
+    bad |= flag
+    np.copyto(r, 1e11, where=bad)
+    np.copyto(hi, r, casting="unsafe")
+    np.divmod(hi, 10**8, out=(hi, lo))
+    np.divmod(lo, 10**4, out=(mid, lo))
+    # 12 digits less the trailing zeros
+    np.take(t.trailing, hi, out=tz, mode="clip")
+    np.equal(mid, 0, out=flag)
+    tz *= flag
+    np.take(t.trailing, mid, out=part, mode="clip")
+    tz += part
+    np.equal(lo, 0, out=flag)
+    tz *= flag
+    np.take(t.trailing, lo, out=part, mode="clip")
+    tz += part
+    np.take(t.code, ix, out=code, mode="clip")
+    code -= tz
+    np.equal(x.view(np.int64), 0, out=flag)  # +0.0, written "0"
+    np.copyto(code, _ZERO, where=flag)
+    np.greater(bad, flag, out=bad)
+    return code, hi, mid, lo, ix, bad
+
+
+def real_csv_rows(table: np.ndarray) -> Iterator[str]:
+    """CSV text of a float table with the row index first: the bytes of
+    ``("%d" + ",%.12g" * n + "\\n") % (i, *table[i])`` for every row i, in
+    blocks of about BLOCK_CELLS cells.
+
+    A cell x in [TINY, 1) is rounded in numpy. With X = floor(log10(x)), its
+    digits are m = x * 10**(11 - X) rounded to an integer. The power and the
+    product are each rounded once, so m is within 3e-4 of its exact value, and
+    rint(m) are the 12 digits '%.12g' gives when m >= 1e11, rint(m) < 1e12 and
+    m is not within GUARD of a tie. (An m within 3e-4 above 1e11 may belong to
+    an x just below 10**X, which '%.12g' rounds to 10**X all the same.) The
+    other cells, where log10 missed by one, ties and round-ups to 10**(X + 1),
+    and all cells outside [TINY, 1) but +0.0, are formatted by '%.12g' one at
+    a time. (Adams, "Ryu revisited: printf floating point conversion", OOPSLA
+    2019, makes the same conversion exact with wider integers.)
+    """
+    t = _real_tables()
+    table = np.ascontiguousarray(table, dtype=float)
+    rows, n = table.shape
+    span = min(n, BLOCK_CELLS)  # cells of one row in a block
+    per = max(1, min(rows, BLOCK_CELLS // n))  # rows in a block
+    # the work arrays, made once for every block
+    canvas = np.zeros((per, span + 1, SLOT), dtype=np.uint8)
+    canvas[:, 0, 11] = ord("\n")
+    canvas[:, 1:, :8] = np.frombuffer(_CELL_LEAD, np.uint8)
+    keep = np.empty(canvas.shape, dtype=bool)
+    text = np.empty(canvas.size, dtype=np.uint8)
+    codes = np.empty(canvas.shape[:2], dtype=np.intp)
+    size = per * span
+    work = (np.empty((3, size)), np.empty((5, size), dtype=np.intp),
+            np.empty((2, size), dtype=np.uint8), np.empty((3, size), dtype=bool))
+    for i0 in range(0, rows, per):
+        i1 = min(i0 + per, rows)
+        for j0 in range(0, n, span):
+            j1 = min(j0 + span, n)
+            x = table[i0:i1, j0:j1].reshape(-1)
+            cells = (i1 - i0, j1 - j0)
+            slots = canvas[: cells[0], : cells[1] + 1]
+            code, mask = codes[: cells[0], : cells[1] + 1], keep[: cells[0], : cells[1] + 1]
+            cell_code, *groups, bad = _round_cells(t, x, work)
+            code[:, 1:] = cell_code.reshape(cells)
+            quads = slots.view(np.uint32)
+            for i, group in enumerate(groups):
+                np.take(t.exp if i == 3 else t.quads, group.reshape(cells),
+                        out=quads[:, 1:, 2 + i], mode="clip")
+            slots[:, 1:, 6] = slots[:, 1:, 8]
+            # the row slots
+            if j0 == 0:
+                index = "".join(["%012d" % i for i in range(i0, i1)]).encode()
+                slots[:, 0, 12:] = np.frombuffer(index, np.uint8).reshape(-1, 12)
+                code[:, 0] = _ROW + 13 + np.searchsorted(t.tens, np.arange(i0, i1), side="right")
+                if i0 == 0:
+                    code[0, 0] -= 12  # no newline before the first row
+            else:
+                code[:, 0] = _EMPTY
+            # '%.12g' writes the cells it must into their slots
+            fallback = np.flatnonzero(bad)
+            if len(fallback):
+                texts = (_PADDED_REAL * len(fallback)) % tuple(x[fallback].tolist())
+                texts = np.frombuffer(texts.encode(), np.uint8).reshape(-1, SLOT)
+                where = fallback + fallback // cells[1] + 1
+                flat = slots.reshape(-1, SLOT)
+                flat[where] = texts
+                code.reshape(-1)[where] = _TEXT + np.count_nonzero(texts != ord(" "), axis=1)
+            np.take(t.keep, code, axis=0, out=mask, mode="clip")
+            out = text[: int(np.take(t.length, code).sum())]
+            np.compress(mask.reshape(-1), slots.reshape(-1), out=out)
+            if len(fallback):
+                flat[where, :8] = np.frombuffer(_CELL_LEAD, np.uint8)
+            yield str(out.data, "ascii")
+    yield "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -495,8 +495,14 @@ class TestWalk:
         assert out_file.read_bytes() == (GOLDENS / f"{name}.csv").read_bytes()
 
     def test_norm_drift_exits_3(self, capsys, monkeypatch, tmp_path):
-        real = dynamics._step_amplitudes
-        monkeypatch.setattr(dynamics, "_step_amplitudes", lambda *a: 1.001 * real(*a))
+        real = dynamics._step_real
+
+        def drifting(a_l, a_r, *rest):  # every step scales the amplitudes by 1.001
+            real(a_l, a_r, *rest)
+            a_l *= 1.001
+            a_r *= 1.001
+
+        monkeypatch.setattr(dynamics, "_step_real", drifting)
         out_file = tmp_path / "walk.csv"
         code, out, err = run(capsys, "walk", "--sites", "5", "--steps", "3",
                              "--out", str(out_file))
@@ -716,6 +722,51 @@ class TestExitCodes:
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert re.search(r"\bsites must be >= \d", err)
+
+    @pytest.mark.parametrize("argv, message", [
+        (("walk", "--limit", "1"), "limit must give >= 2 chain sites, got 1, which gives 1"),
+        (("sweep", "--limit", "1"), "limit must give >= 2 chain sites, got 1, which gives 1"),
+        (("modes", "--limit", "20000"),
+         "limit must give <= 5000 chain sites, got 20000, which gives 17579"),
+        (("dragon", "--word", "LLR", "--generations", "9223372036854775808", "--max-edges", "64"),
+         "generations 9223372036854775808 would double 48 segments past the max_edges cap of 64"),
+    ])
+    def test_derived_sizes_name_the_flag_given(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("modes", "--sites", "13", "--alpha", "-1e308"),
+         "alpha -1e+308 and beta 0.5 give a site energy of -inf; site energies must be positive"),
+        (("modes", "--sites", "13", "--beta", "-inf"), "beta must be finite, got -inf"),
+        (("sweep", "--sites", "4", "--s-grid", "-1e308:1e308:3"),
+         "s grid values must lie in [0, 1], got nan"),
+        (("sweep", "--sites", "4", "--s-grid", "-1e-9,0.5"),
+         "s grid values must lie in [0, 1], got -1e-09"),
+    ])
+    def test_negative_exponents_and_inf_are_values(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv, joined", [
+        (("sweep", "--sites", "4", "--s-grid", "-0e0:1:3"),
+         ("sweep", "--sites", "4", "--s-grid=-0e0:1:3")),
+        (("walk", "--sites", "4", "--steps", "3", "--theta-l", "-1e-1", "--theta-r", "-.5"),
+         ("walk", "--sites", "4", "--steps", "3", "--theta-l=-1e-1", "--theta-r=-.5")),
+    ])
+    def test_negative_value_reads_as_the_joined_flag(self, capsys, argv, joined):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "") and run(capsys, *joined) == (0, out, "")
+
+    @pytest.mark.parametrize("argv, error", [
+        (("gen", "--limit"), "argument --limit: expected one argument"),
+        (("gen", "--limit", "-5e3"), "argument --limit: invalid int value: '-5e3'"),
+        (("seahorse-scan", "--all-words", "-1e5"), "unrecognized arguments: -1e5"),
+        (("gen", "--lim", "-1e5"), "argument --limit: expected one argument"),
+        (("walk", "--sites", "4", "--", "-1e5"), "unrecognized arguments: -- -1e5"),
+    ])
+    def test_other_argparse_errors_stay(self, capsys, argv, error):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith("usage: patterned ")
+        assert err.endswith(f": error: {error}\n")
 
     def test_argparse_rejects_unknown_flag(self, capsys):
         assert cli_dispatch(["gen", "--frobnicate"]) == 2

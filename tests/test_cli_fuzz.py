@@ -95,11 +95,9 @@ COMMANDS = {
                                          "-0.0,1"])},
 }
 SWITCHES = {"all_words", "gap_primes"}  # flags that take no value
-# What an error may call a value instead of its name: a chain's sites are
-# counted from limit, generations and max_edges meet in a doubling's cap, and
-# the sweep's check says "s grid".
-NAMES = {"limit": ("limit", "sites"), "generations": ("generations", "doubling past"),
-         "max_edges": ("max_edges", "doubling past"), "s_grid": ("s_grid", "s grid")}
+# What an error may call a value instead of its name: the sweep's check says
+# "s grid".
+NAMES = {"s_grid": ("s_grid", "s grid")}
 
 
 def flag_argv(values):

@@ -5,8 +5,12 @@ The coined-walk oracle builds the full 2N x 2N step matrix explicitly
 matrix-vector products against the vectorized implementation.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patterned import core, dynamics
 from patterned.core import patterned_sequence, turn_sequence
@@ -241,7 +245,8 @@ class TestRunWalk:
 
 
 class TestWalkEntries:
-    """``run_walk`` and ``unitary_walk_step`` share one kernel and check at entry."""
+    """``run_walk`` steps real amplitudes, and must give the bits of the complex
+    ``unitary_walk_step``; both check at entry."""
 
     @pytest.mark.parametrize("boundary", ["reflecting", BOUNDARY_ABSORBING])
     @pytest.mark.parametrize("coins", [CoinSpec(), CoinSpec(0.3, -1.1)])
@@ -257,6 +262,22 @@ class TestWalkEntries:
             rows.append(state.position_distribution())
         assert series.tobytes() == np.array(rows).tobytes()
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 119).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+           st.integers(0, 150), st.sampled_from("LR"),
+           st.lists(st.one_of(st.floats(-7, 7), st.sampled_from([0.0, math.pi / 2])),
+                    min_size=2, max_size=2),
+           st.sampled_from(["reflecting", BOUNDARY_ABSORBING]))
+    def test_run_walk_bits_of_the_complex_step(self, sites, steps, coin, thetas, boundary):
+        (n, site), coins = sites, CoinSpec(*thetas)
+        series = run_walk(n, steps, coins=coins, initial_site=site, initial_coin=coin,
+                          boundary=boundary)
+        state, turns = localized_state(n, site, coin), turn_sequence(n)
+        assert series[0].tobytes() == state.position_distribution().tobytes()
+        for row in series[1:]:
+            state = unitary_walk_step(state, coins, turns, boundary=boundary)
+            assert row.tobytes() == state.position_distribution().tobytes()
+
     @pytest.mark.parametrize("steps", [0, 1])
     def test_unknown_boundary_named_before_any_work(self, monkeypatch, steps):
         monkeypatch.setattr(dynamics, "turn_sequence", lambda n: 1 / 0)
@@ -271,8 +292,14 @@ class TestWalkEntries:
             run_walk(5, 1, initial_coin="X")
 
     def test_norm_drift_raises_invariant_error(self, monkeypatch):
-        real = dynamics._step_amplitudes
-        monkeypatch.setattr(dynamics, "_step_amplitudes", lambda *a: 1.001 * real(*a))
+        real = dynamics._step_real
+
+        def drifting(a_l, a_r, *rest):  # every step scales the amplitudes by 1.001
+            real(a_l, a_r, *rest)
+            a_l *= 1.001
+            a_r *= 1.001
+
+        monkeypatch.setattr(dynamics, "_step_real", drifting)
         with pytest.raises(InvariantError, match="walk norm drifted from 1 by 1.000e-03"):
             run_walk(5, 1)
         # an absorbing walk loses norm by design, so it is not checked

@@ -8,6 +8,7 @@ points, traced words and units and checks that those formats give the bytes
 the per-cell reference of ``test_serialize`` gives.
 """
 
+import math
 from itertools import groupby
 from operator import neg
 from unittest import mock
@@ -95,3 +96,42 @@ def test_gen_rows(numbers):
         rows = list(serialize.profile_csv_rows(core.profile_blocks(MAX_INT)))
     expected = [profile(n) for n in block[0].tolist()]
     assert rows == [ref_line(ref_profile_row(p)) for p in expected]
+
+
+def _ulp_neighbours(x: float) -> list:
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+# Cells where a numpy shortcut to '%.12g' could slip, each with its neighbours
+# one ulp away: powers of ten, exact 12-digit ties (a / 2**13 has 13 decimals),
+# the doubles nearest decimal ties (some of which round up to a power of ten),
+# the edge of the fixed and exponent forms, 1 - eps, subnormals and the largest
+# doubles.
+EDGE_CELLS = sorted({v for x in (
+    *(float(f"1e{e}") for e in range(-101, 2)),
+    *(a / 2**13 for a in (819, 1001, 4097, 8191)),
+    *(float(f"{digits}5e{e}") for digits in ("123456789012", "999999999999", "100000000000")
+      for e in range(-112, -10, 3)),
+    9.9999999999995e-5, 9.99999999999949e-5, 1 - 2**-53, 0.5,
+    5e-324, 2.2250738585072014e-308, 1e308, 1.7976931348623157e308,
+) for v in _ulp_neighbours(x)})
+table_cell = st.one_of(
+    finite,
+    st.floats(min_value=0, max_value=1, exclude_max=True),  # walk probabilities
+    st.sampled_from(EDGE_CELLS),
+    st.sampled_from(EDGE_CELLS).map(neg),
+    st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf")]),
+)
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 12).flatmap(
+           lambda n: st.lists(st.lists(table_cell, min_size=n, max_size=n), min_size=1,
+                              max_size=8)),
+       st.sampled_from([1, 5, serialize.BLOCK_CELLS]))
+def test_real_table_rows(rows, block):
+    """The table writer against '%.12g' per cell, with blocks of one cell (every
+    row split), of a few cells, and of the default size."""
+    with mock.patch.object(serialize, "BLOCK_CELLS", block):
+        text = "".join(serialize.real_csv_rows(np.array(rows)))
+    assert text == "".join(ref_line([i, *row]) for i, row in enumerate(rows))

@@ -7,6 +7,7 @@ command (or a writer) and compares its bytes with the reference's.
 """
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -141,6 +142,24 @@ class TestFloatRows:
         header = ["step"] + [f"site_{i}" for i in range(1, 31)]
         assert out == ref_csv(header, ([s, *row.tolist()] for s, row in enumerate(series)))
         assert "e-" in out  # small probabilities take exponents
+
+    @pytest.mark.parametrize("shape", [(10_050, 1), (3, 2 * serialize.BLOCK_CELLS + 7)])
+    def test_real_table_shapes(self, shape):
+        """Row indices of 1-5 digits, and rows split over three blocks."""
+        table = np.random.default_rng(5).random(shape) ** 9
+        text = "".join(serialize.real_csv_rows(table))
+        assert text == "".join(ref_line([i, *row]) for i, row in enumerate(table.tolist()))
+
+    @pytest.mark.parametrize("shift", [-1, 1])
+    def test_exponent_missed_by_one_costs_no_bytes(self, monkeypatch, shift):
+        """A log10 one off for every cell sends every cell to '%.12g'."""
+        tables = serialize._real_tables()
+        scale = np.concatenate([tables.scale[shift:], tables.scale[:shift]])
+        missed = SimpleNamespace(**{**vars(tables), "scale": scale})
+        monkeypatch.setattr(serialize, "_real_tables", lambda: missed)
+        table = dynamics.run_walk(30, 40, dynamics.CoinSpec(0.7, -0.9), initial_site=15)
+        text = "".join(serialize.real_csv_rows(table))
+        assert text == "".join(ref_line([i, *row]) for i, row in enumerate(table.tolist()))
 
     @pytest.mark.parametrize("s, g_l", [(1.0, 1.0), (0.5, -2.0), (0.0, 1.0)])
     def test_modes(self, capsys, s, g_l):
