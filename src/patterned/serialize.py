@@ -5,9 +5,9 @@ iteration orders are fixed, so identical inputs serialize to identical bytes.
 Each CSV row is formatted whole, by one %-format or one lookup table per
 command, not by a Python call per cell; an SVG path formats each distinct
 coordinate once and looks the rest up. The walk's probability table is
-written a block of cells at a time by ``real_csv_rows``: its cells in (0, 1)
-are formatted in numpy, exactly as '%.12g' formats them, and the few it cannot
-place exactly go to '%.12g' one by one.
+written a block of cells at a time by ``real_csv_rows``: its zeros and its
+cells in [1e-99, 1) are formatted in numpy, exactly as '%.12g' formats them,
+and the few it cannot place exactly go to '%.12g' one by one.
 """
 
 import json
@@ -108,7 +108,7 @@ def prime_csv_rows(primes: np.ndarray, qualifies: np.ndarray) -> Iterator[str]:
 # before its cells: "\n", ending the row before, at byte 11 and the row index,
 # zero-padded to 12 digits, after it.
 SLOT = 24
-BLOCK_CELLS = 2048  # cells per block: the work arrays take about 300 kB
+BLOCK_CELLS = 2048  # cells per block: the work arrays take about 250 kB
 TINY = 1e-99  # below it the exponent has three digits
 GUARD = 2e-3  # the largest error of m is 3e-4
 _CELL_LEAD = b",0.000?."
@@ -134,7 +134,7 @@ def _real_tables() -> SimpleNamespace:
     keep[_ZERO, :2] = True
     for k in range(1, SLOT + 1):
         keep[_TEXT + k, :k] = True
-    quad = np.arange(10_000)
+    quad = np.arange(10_000, dtype=np.uint16)
     digits = np.empty((10_000, 4), dtype=np.uint8)
     for i, place in enumerate((1000, 100, 10, 1)):
         digits[:, i] = quad // place % 10 + ord("0")
@@ -142,9 +142,8 @@ def _real_tables() -> SimpleNamespace:
     for place in (10, 100, 1000):
         trailing += quad % place == 0
     exponents = range(-100, 1)
-    return SimpleNamespace(
+    tables = SimpleNamespace(
         keep=keep,
-        length=keep.sum(axis=1),
         quads=digits.view(np.uint32).ravel(),  # the 4-digit text of 0..9999
         trailing=trailing,  # its trailing zeros, 4 for 0
         scale=np.array([float(10 ** (11 - x)) for x in exponents]),  # correctly rounded
@@ -152,6 +151,9 @@ def _real_tables() -> SimpleNamespace:
         exp=np.frombuffer(b"".join(b"e-%02d" % min(99, -x) for x in exponents), np.uint32),
         tens=10 ** np.arange(1, 12, dtype=np.int64),
     )
+    for array in vars(tables).values():
+        array.flags.writeable = False  # shared by every call
+    return tables
 
 
 def _round_cells(t: SimpleNamespace, x: np.ndarray, work: tuple) -> tuple:
@@ -234,11 +236,11 @@ def real_csv_rows(table: np.ndarray) -> Iterator[str]:
     canvas[:, 0, 11] = ord("\n")
     canvas[:, 1:, :8] = np.frombuffer(_CELL_LEAD, np.uint8)
     keep = np.empty(canvas.shape, dtype=bool)
-    text = np.empty(canvas.size, dtype=np.uint8)
     codes = np.empty(canvas.shape[:2], dtype=np.intp)
     size = per * span
     work = (np.empty((3, size)), np.empty((5, size), dtype=np.intp),
             np.empty((2, size), dtype=np.uint8), np.empty((3, size), dtype=bool))
+    # a block is whole rows or part of one row, so its slots are contiguous
     for i0 in range(0, rows, per):
         i1 = min(i0 + per, rows)
         for j0 in range(0, n, span):
@@ -250,9 +252,9 @@ def real_csv_rows(table: np.ndarray) -> Iterator[str]:
             cell_code, *groups, bad = _round_cells(t, x, work)
             code[:, 1:] = cell_code.reshape(cells)
             quads = slots.view(np.uint32)
-            for i, group in enumerate(groups):
-                np.take(t.exp if i == 3 else t.quads, group.reshape(cells),
-                        out=quads[:, 1:, 2 + i], mode="clip")
+            for g, group in enumerate(groups):
+                np.take(t.exp if g == 3 else t.quads, group.reshape(cells),
+                        out=quads[:, 1:, 2 + g], mode="clip")
             slots[:, 1:, 6] = slots[:, 1:, 8]
             # the row slots
             if j0 == 0:
@@ -273,8 +275,9 @@ def real_csv_rows(table: np.ndarray) -> Iterator[str]:
                 flat[where] = texts
                 code.reshape(-1)[where] = _TEXT + np.count_nonzero(texts != ord(" "), axis=1)
             np.take(t.keep, code, axis=0, out=mask, mode="clip")
-            out = text[: int(np.take(t.length, code).sum())]
-            np.compress(mask.reshape(-1), slots.reshape(-1), out=out)
+            # a boolean index, not np.compress: compress builds an intp index
+            # of 8 bytes per byte kept
+            out = slots.reshape(-1)[mask.reshape(-1)]
             if len(fallback):
                 flat[where, :8] = np.frombuffer(_CELL_LEAD, np.uint8)
             yield str(out.data, "ascii")
