@@ -149,7 +149,6 @@ def _real_tables() -> SimpleNamespace:
         scale=np.array([float(10 ** (11 - x)) for x in exponents]),  # correctly rounded
         code=np.array([12 * min(4, max(0, -1 - x)) + 11 for x in exponents], dtype=np.intp),
         exp=np.frombuffer(b"".join(b"e-%02d" % min(99, -x) for x in exponents), np.uint32),
-        tens=10 ** np.arange(1, 12, dtype=np.int64),
     )
     for array in vars(tables).values():
         array.flags.writeable = False  # shared by every call
@@ -260,7 +259,7 @@ def real_csv_rows(table: np.ndarray) -> Iterator[str]:
             if j0 == 0:
                 index = "".join(["%012d" % i for i in range(i0, i1)]).encode()
                 slots[:, 0, 12:] = np.frombuffer(index, np.uint8).reshape(-1, 12)
-                code[:, 0] = _ROW + 13 + np.searchsorted(t.tens, np.arange(i0, i1), side="right")
+                code[:, 0] = [_ROW + 12 + len(str(i)) for i in range(i0, i1)]
                 if i0 == 0:
                     code[0, 0] -= 12  # no newline before the first row
             else:
