@@ -760,7 +760,6 @@ class TestExitCodes:
         (("gen", "--limit"), "argument --limit: expected one argument"),
         (("gen", "--limit", "-5e3"), "argument --limit: invalid int value: '-5e3'"),
         (("seahorse-scan", "--all-words", "-1e5"), "unrecognized arguments: -1e5"),
-        (("gen", "--lim", "-1e5"), "argument --limit: expected one argument"),
         (("walk", "--sites", "4", "--", "-1e5"), "unrecognized arguments: -- -1e5"),
     ])
     def test_other_argparse_errors_stay(self, capsys, argv, error):
