@@ -212,28 +212,32 @@ def _parse_motions(value) -> List[curves.RigidMotion]:
 
 
 def _parse_s_grid(grid: str) -> List[float]:
-    """Either comma-separated values or 'start:stop:count' (inclusive)."""
-    count = grid.count(",") + 1  # the comma form's points, counted before any is parsed
+    """Either comma-separated values or 'start:stop:count' (inclusive). Each value
+    given must lie in [0, 1], so every point of a range does too."""
     if ":" in grid:
+        *given, count = grid.split(":")
         try:
-            start, stop, count = grid.split(":")
-            start, stop, count = float(start), float(stop), int(count)
+            start, stop = map(float, given)
+            count = int(count)
         except ValueError:
             raise ValueError(f"s_grid range must be start:stop:count, got {grid!r}") from None
         if count < 2:
             raise ValueError("s_grid range needs at least 2 points")
+    else:
+        given = [v for v in grid.split(",") if v.strip() != ""]
+        count = grid.count(",") + 1  # the points, counted before any is parsed
     if count > MAX_S_GRID_POINTS:
         raise ResourceLimitError(f"s_grid must be <= {MAX_S_GRID_POINTS} points, got {count}")
-    if ":" in grid:
-        with np.errstate(invalid="ignore", over="ignore"):  # the sweep rejects non-finite points
-            return [float(v) for v in np.linspace(start, stop, count)]
     try:
-        values = [float(v) for v in grid.split(",") if v.strip() != ""]
+        values = [float(v) for v in given]
     except ValueError as exc:
         raise ValueError(f"bad s_grid value in {grid!r}") from exc
     if not values:
         raise ValueError(f"s_grid must hold at least one value, got {grid!r}")
-    return values
+    for text, value in zip(given, values):
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"s_grid values must lie in [0, 1], got {text.strip()}")
+    return [float(v) for v in np.linspace(start, stop, count)] if ":" in grid else values
 
 
 def _chain_sites(cfg: RunConfig, low: int, cap: int) -> int:
@@ -481,23 +485,30 @@ _NEGATIVE_VALUE = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
 class _Parser(argparse.ArgumentParser):
     """An argparse parser that joins a negative value to the flag before it
     (``--alpha -1e308`` is read as ``--alpha=-1e308``) when the flag takes one
-    value. Each subcommand's parser joins its own flags."""
+    value. A flag is one of the parser's own or, as argparse reads it, a prefix
+    of exactly one long one. Each subcommand's parser joins its own flags."""
 
     def __init__(self, *args, **kwargs):
-        self.value_flags = set()
+        self.takes_value = {}  # every option string: whether it takes one value
         super().__init__(*args, **kwargs)
 
     def add_argument(self, *args, **kwargs):
         action = super().add_argument(*args, **kwargs)
-        if action.nargs is None:
-            self.value_flags.update(action.option_strings)
+        self.takes_value.update(dict.fromkeys(action.option_strings, action.nargs is None))
         return action
+
+    def _reads_a_value(self, flag: str) -> bool:
+        """Whether argparse reads ``flag`` as an option that takes one value."""
+        if flag not in self.takes_value and self.allow_abbrev and flag.startswith("--"):
+            matches = [option for option in self.takes_value if option.startswith(flag)]
+            flag = matches[0] if len(matches) == 1 else None
+        return self.takes_value.get(flag, False)
 
     def parse_known_args(self, args=None, namespace=None):
         joined = []
         for token in sys.argv[1:] if args is None else args:
-            if (joined and joined[-1] in self.value_flags and _NEGATIVE_VALUE.match(token)
-                    and "--" not in joined):
+            if (joined and _NEGATIVE_VALUE.match(token) and "--" not in joined
+                    and self._reads_a_value(joined[-1])):
                 joined[-1] += "=" + token
             else:
                 joined.append(token)

@@ -43,8 +43,23 @@ def _step_headings(path: np.ndarray) -> np.ndarray:
 
 
 def _turn_codes(turns: Tuple[str, ...]) -> np.ndarray:
-    """The heading change of each turn label, or 0 for a label other than L and R."""
-    return np.fromiter(map(_TURN.get, turns, repeat(0)), np.int64, len(turns))
+    """The heading change of each turn label; a label other than L and R raises."""
+    codes = np.fromiter(map(_TURN.get, turns, repeat(0)), np.int64, len(turns))
+    if not codes.all():
+        raise ValueError(f"turn label must be 'L' or 'R', got {turns[np.argmin(codes)]!r}")
+    return codes
+
+
+def _hold(curve, path: np.ndarray, turns: Tuple[str, ...], final_heading: str):
+    """Bound ``path``, make it read-only and store it, not a copy, on ``curve``. Builders'
+    int64 arithmetic is exact modulo 2**64, so a wrapped value lands within +-2**62 only from a
+    true one >= 3 * 2**62, far past a point within +-2**62 plus such a shift or n unit steps."""
+    lo, hi = path.min(), path.max()
+    if not -COORD_BOUND <= lo <= hi <= COORD_BOUND:
+        raise ValueError(f"coordinates must be within +-2**62, got {lo}..{hi}")
+    path.flags.writeable = False
+    vars(curve).update(path=path, source_turns=turns, final_heading=final_heading)
+    return curve
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,11 +69,11 @@ class LatticeCurve:
     ``path`` is the curve: its n + 1 vertices as one read-only ``(n + 1, 2)``
     int64 array. ``final_heading`` is the exit heading after the last turn,
     kept so curves can be iterated or composed. ``source_turns`` is empty for
-    geometrically built curves. Every curve is checked here, once: the
-    builders compute no headings. The curve keeps its own copy of ``path``,
-    so no caller can change it once checked. ``vertices``, ``headings``,
-    ``start``, ``end`` and ``edge_set()`` are views derived from it on each read.
-    Two curves are equal when their paths, turn words and exit headings are.
+    geometrically built curves. A curve is checked once, where its input enters:
+    ``LatticeCurve(...)`` checks all three and keeps its own copy of ``path``;
+    builders check their arguments and keep the array they built. ``vertices``,
+    ``headings``, ``start``, ``end`` and ``edge_set()`` are views derived from it
+    on each read. Two curves are equal when their paths, turns and exits are.
     """
 
     path: np.ndarray
@@ -71,8 +86,7 @@ class LatticeCurve:
             raise ValueError("a curve needs at least one vertex")
         if path.dtype != np.int64 or path.shape[1:] != (2,):
             raise ValueError(f"path must be (n + 1, 2) int64, got {path.shape} {path.dtype}")
-        if not -COORD_BOUND <= path.min() <= path.max() <= COORD_BOUND:
-            raise ValueError(f"coordinates must be within +-2**62, got {path.min()}..{path.max()}")
+        _hold(self, path, self.source_turns, self.final_heading)  # bounded before its steps
         if self.final_heading not in HEADINGS:
             raise ValueError(f"bad final heading {self.final_heading!r}")
         steps = _step_headings(path)
@@ -83,14 +97,9 @@ class LatticeCurve:
         if turns:
             if len(turns) != len(steps):
                 raise ValueError("turn/segment count mismatch")
-            codes = _turn_codes(turns)
-            if not codes.all():
-                raise ValueError(f"turn label must be 'L' or 'R', got {turns[np.argmin(codes)]!r}")
             exits = np.concatenate((steps[1:], [HEADINGS.index(self.final_heading)]))
-            if ((exits - steps) % 4 != codes).any():
+            if ((exits - steps) % 4 != _turn_codes(turns)).any():
                 raise ValueError("heading transition inconsistent with turn word")
-        path.flags.writeable = False
-        object.__setattr__(self, "path", path)
 
     def __eq__(self, other):
         return isinstance(other, LatticeCurve) and np.array_equal(self.path, other.path) and (
@@ -166,14 +175,14 @@ def trace(
     if not all(-COORD_BOUND <= c <= COORD_BOUND for c in start):
         raise ValueError(f"start coordinates must be within +-2**62, got {start!r}")
     word = tuple(turns)
-    # the heading of each step, then the exit one; LatticeCurve rejects a bad label
+    # the heading of each step, then the exit one
     h = np.concatenate(([HEADINGS.index(initial_heading)], _turn_codes(word))).cumsum() % 4
     path = np.concatenate(([start], _STEP_ARRAY[h[:-1]])).cumsum(axis=0)
-    return LatticeCurve(path, word, HEADINGS[h[-1]])
+    return _hold(object.__new__(LatticeCurve), path, word, HEADINGS[h[-1]])
 
 
 def _last_step_heading(path: np.ndarray) -> str:
-    """Exit heading of a curve with no turn word: its last step's (LatticeCurve checks it), or E."""
+    """Exit heading of a curve with no turn word: its last step's, or E."""
     return HEADINGS[_step_headings(path[-2:])[0]] if len(path) > 1 else "E"
 
 
@@ -185,16 +194,15 @@ def curve_from_vertices(vertices: Iterable[Point]) -> LatticeCurve:
     """
     vertices = list(vertices)
     points = np.array(vertices)
-    # integers past int64 come out as floats or objects
-    if points.dtype.kind in "fO" and points.shape[1:] == (2,) and all(
-            isinstance(c, (int, np.integer)) for v in vertices for c in v):
+    # integers past int64, which numpy holds as floats or objects, or as given in uint64
+    if points.shape[1:] == (2,) and (points.dtype.kind == "u" and points.max() >= 2**63 or (
+            points.dtype.kind in "fO" and all(
+                isinstance(c, (int, np.integer)) for v in vertices for c in v))):
         raise ValueError("coordinates must be within +-2**62, got "
                          f"{min(min(v) for v in vertices)}..{max(max(v) for v in vertices)}")
     if points.size and (points.dtype.kind not in "biu" or points.shape[1:] != (2,)):
         raise ValueError(f"vertex coordinates must be integers in (x, y) pairs, "
                          f"got {points.dtype} of shape {points.shape}")
-    if points.dtype.kind == "u" and points.max(initial=0) > COORD_BOUND:  # the int64 cast wraps
-        raise ValueError(f"coordinates must be within +-2**62, got {points.min()}..{points.max()}")
     path = points.astype(np.int64).reshape(-1, 2)
     return LatticeCurve(path, (), _last_step_heading(path))
 
@@ -369,6 +377,8 @@ class RigidMotion:
         if not isinstance(t, (tuple, list)) or len(t) != 2 or any(
                 not isinstance(c, int) or isinstance(c, bool) for c in t):
             raise ValueError(f"translation must be an integer vector (x, y), got {t!r}")
+        if not all(-COORD_BOUND <= c <= COORD_BOUND for c in t):
+            raise ValueError(f"translation coordinates must be within +-2**62, got {t!r}")
 
     @property
     def matrix(self) -> Tuple[int, int, int, int]:
@@ -397,7 +407,8 @@ def apply_motion(curve: LatticeCurve, motion: RigidMotion) -> LatticeCurve:
     turns = tuple("".join(turns).translate(_MIRROR)) if motion.reflect else turns
     dx, dy = motion.apply_vector(_STEPS[HEADINGS.index(curve.final_heading)])
     path = _moved(curve.path, motion.matrix, motion.translation)
-    return LatticeCurve(path, turns, HEADINGS[_HEADING_OF_STEP[dx + 2, dy + 2]])
+    exit_heading = HEADINGS[_HEADING_OF_STEP[dx + 2, dy + 2]]
+    return _hold(object.__new__(LatticeCurve), path, turns, exit_heading)
 
 
 def iterate_dragon(
@@ -424,7 +435,7 @@ def iterate_dragon(
                                      f"segments past the max_edges cap of {max_edges}")
         turned = _moved(path, quarter, 0)
         path = np.concatenate((path, turned[1:] + (path[-1] - turned[0])))
-    return LatticeCurve(path, (), _last_step_heading(path))
+    return _hold(object.__new__(LatticeCurve), path, (), _last_step_heading(path))
 
 
 @dataclass(frozen=True)

@@ -595,13 +595,26 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--sites", "4", "--s-grid", "0:1")
         assert code == 2
 
-    @pytest.mark.parametrize("grid, shown", [("0:inf:3", "nan"), ("-1e308:1e308:3", "nan"),
+    @pytest.mark.parametrize("grid, shown", [("0:inf:3", "inf"), ("-1e308:1e308:3", "-1e308"),
                                              ("nan:1:3", "nan")])
     def test_non_finite_range_is_one_error_line(self, capsys, grid, shown):
-        # the range's points are rejected by the sweep, without numpy's overflow warning
+        # the range's ends are checked as given, before numpy could overflow between them
         code, out, err = run(capsys, "sweep", "--sites", "4", f"--s-grid={grid}")
         assert code == 2 and out == ""
-        assert err == f"error: s grid values must lie in [0, 1], got {shown}\n"
+        assert err == f"error: s_grid values must lie in [0, 1], got {shown}\n"
+
+    @pytest.mark.parametrize("grid, shown", [("0:1.5:3", "1.5"), ("-0.25:1:3", "-0.25"),
+                                             ("0.5, +2", "+2"), ("0,1,1.0000001", "1.0000001")])
+    def test_grid_value_outside_0_1_named_as_given(self, capsys, monkeypatch, tmp_path, grid,
+                                                   shown):
+        monkeypatch.setattr(cli.np, "linspace", _no_work)
+        monkeypatch.setattr(dynamics, "adiabatic_sweep", _no_work)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"s_grid": grid}))
+        for argv in (("--s-grid", grid), ("--config", str(cfg))):
+            code, out, err = run(capsys, "sweep", "--sites", "4", *argv)
+            assert (code, out) == (2, "")
+            assert err == f"error: s_grid values must lie in [0, 1], got {shown}\n"
 
     @pytest.mark.parametrize("grid", ["0:1:x", "0:y:5", "0:1:5.0"])
     def test_unparsable_range_names_s_grid(self, capsys, grid):
@@ -739,9 +752,14 @@ class TestExitCodes:
          "alpha -1e+308 and beta 0.5 give a site energy of -inf; site energies must be positive"),
         (("modes", "--sites", "13", "--beta", "-inf"), "beta must be finite, got -inf"),
         (("sweep", "--sites", "4", "--s-grid", "-1e308:1e308:3"),
-         "s grid values must lie in [0, 1], got nan"),
+         "s_grid values must lie in [0, 1], got -1e308"),
         (("sweep", "--sites", "4", "--s-grid", "-1e-9,0.5"),
-         "s grid values must lie in [0, 1], got -1e-09"),
+         "s_grid values must lie in [0, 1], got -1e-9"),
+        # after a flag abbreviated as argparse allows: a prefix of one long flag
+        (("modes", "--sites", "13", "--alp", "-1e308"),
+         "alpha -1e+308 and beta 0.5 give a site energy of -inf; site energies must be positive"),
+        (("sweep", "--sites", "4", "--s-g", "-1e-9,0.5"),
+         "s_grid values must lie in [0, 1], got -1e-9"),
     ])
     def test_negative_exponents_and_inf_are_values(self, capsys, argv, message):
         assert run(capsys, *argv) == (2, "", f"error: {message}\n")
@@ -751,6 +769,8 @@ class TestExitCodes:
          ("sweep", "--sites", "4", "--s-grid=-0e0:1:3")),
         (("walk", "--sites", "4", "--steps", "3", "--theta-l", "-1e-1", "--theta-r", "-.5"),
          ("walk", "--sites", "4", "--steps", "3", "--theta-l=-1e-1", "--theta-r=-.5")),
+        (("sweep", "--si", "4", "--s-g", "-0e0:1:3"),
+         ("sweep", "--sites", "4", "--s-grid=-0e0:1:3")),
     ])
     def test_negative_value_reads_as_the_joined_flag(self, capsys, argv, joined):
         code, out, err = run(capsys, *argv)
@@ -761,6 +781,11 @@ class TestExitCodes:
         (("gen", "--limit", "-5e3"), "argument --limit: invalid int value: '-5e3'"),
         (("seahorse-scan", "--all-words", "-1e5"), "unrecognized arguments: -1e5"),
         (("walk", "--sites", "4", "--", "-1e5"), "unrecognized arguments: -- -1e5"),
+        # a negative value stays apart from an ambiguous prefix, or one of a flag taking none
+        (("walk", "--sites", "4", "--theta", "-1e-1"),
+         "ambiguous option: --theta could match --theta-l, --theta-r"),
+        (("seahorse-scan", "--all", "-1e5"), "unrecognized arguments: -1e5"),
+        (("dag", "--ch", "-1e5"), "unrecognized arguments: -1e5"),
     ])
     def test_other_argparse_errors_stay(self, capsys, argv, error):
         code, out, err = run(capsys, *argv)

@@ -95,9 +95,6 @@ COMMANDS = {
                                          "-0.0,1"])},
 }
 SWITCHES = {"all_words", "gap_primes"}  # flags that take no value
-# What an error may call a value instead of its name: the sweep's check says
-# "s grid".
-NAMES = {"s_grid": ("s_grid", "s grid")}
 
 
 def flag_argv(values):
@@ -138,8 +135,7 @@ def check_run(command, values, as_config):
         else:
             assert len(lines) == 1 and lines[0].split(":")[0] in (
                 "error", "numerical failure", "internal error"), err
-            names = [n for v in values for n in NAMES.get(v, (v,))]
-            named = any(re.search(rf"\b{re.escape(n)}\b", err) for n in names)
+            named = any(re.search(rf"\b{re.escape(n)}\b", err) for n in values)
             assert code == 3 or "required" in err or named, (argv, err)
     elif "<svg" in out:
         assert not re.search(r"\b(nan|inf)\b", out), (argv, out[:300])

@@ -3,10 +3,13 @@
 import random
 import time
 from itertools import product
+from operator import neg
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patterned import curves
 from patterned.curves import (
@@ -65,6 +68,11 @@ class TestTrace:
         assert c.vertices == ((3, -2), (3, -3))
         assert c.final_heading == "E"
 
+    def test_bad_label_rejected_before_any_curve_is_built(self, monkeypatch):
+        monkeypatch.setattr(curves, "_hold", None)
+        with pytest.raises(ValueError, match=r"^turn label must be 'L' or 'R', got 'X'$"):
+            trace("LXR")
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             trace("X")
@@ -75,7 +83,8 @@ class TestTrace:
 
 
 class TestCurveValidation:
-    """``LatticeCurve`` is the one place a curve's steps are checked."""
+    """A direct ``LatticeCurve(...)`` checks a curve's steps, labels and bound;
+    the builders check their own input and share only the bound test."""
 
     def test_non_unit_step_rejected(self):
         for x, y in ((2, 0), (-2, 0), (0, -3), (0, -7), (-(2**62), 0)):
@@ -183,11 +192,19 @@ class TestVertexArray:
     def test_coordinates_bounded_so_int64_cannot_wrap(self):
         # past 2**62 a shift could wrap int64 into a path whose steps look unit
         assert trace("LR", start=(2**62 - 1, 0)).end == (2**62, 1)
+        corner = RigidMotion(translation=(2**62, -(2**62)))  # the bound itself is inside
+        assert apply_motion(trace([], start=(-(2**62), 0)), corner).vertices == ((0, -(2**62)),)
         for build in (lambda: curve_from_vertices([(-(2**63), 0), (2**63 - 1, 0)]),
                       lambda: trace("LR", start=(2**62, 0)),
                       lambda: curve_from_vertices(np.array([(2**64 - 1, 0), (2**64 - 2, 0)],
                                                            dtype=np.uint64)),
                       lambda: apply_motion(trace("LR"), RigidMotion(translation=(2**63 - 1, 0))),
+                      # a translation of -2**63 would wrap the whole curve back inside
+                      lambda: apply_motion(trace([], start=(-(2**62), 0)),
+                                           RigidMotion(translation=(-(2**63), 0))),
+                      lambda: apply_motion(curve_from_vertices([(-(2**62), 0), (-(2**62), 1)]),
+                                           RigidMotion(translation=(-(2**63), 0))),
+                      lambda: RigidMotion(translation=(0, 2**62 + 1)),
                       # Python ints past int64, which numpy would hold as floats or objects
                       lambda: trace("LR", start=(2**63, 0)),
                       lambda: trace("LR", start=(0, -(2**64))),
@@ -195,6 +212,15 @@ class TestVertexArray:
                       lambda: curve_from_vertices([(0, 2**70), (0, 2**70 + 1)])):
             with pytest.raises(ValueError, match=r"coordinates must be within \+-2\*\*62"):
                 build()
+
+    @pytest.mark.parametrize("top", [2**64 - 1, 2**63, 2**62 + 1])
+    def test_unsigned_vertices_bounded_as_given(self, top):
+        # past int64 they are bounded before the cast; below it, after, with the same digits
+        with pytest.raises(ValueError) as info:
+            curve_from_vertices(np.array([(top, 5), (top - 1, 5)], dtype=np.uint64))
+        assert str(info.value) == f"coordinates must be within +-2**62, got 5..{top}"
+        top = np.array([(2**62, 5), (2**62 - 1, 5)], dtype=np.uint64)
+        assert curve_from_vertices(top).vertices == ((2**62, 5), (2**62 - 1, 5))
 
     def test_edge_set_is_the_normalized_steps(self):
         rng = random.Random(4)
@@ -265,6 +291,118 @@ class TestAgainstOracle:
                 point = (rng.randint(-20, 20), rng.randint(-20, 20))
                 assert motion.apply_point(point) == _oracle_motion(
                     [point], "E", rotation, reflect, shift)[0][0]
+
+
+def _oracle_dragon(vertices, generations):
+    for _ in range(generations):
+        turned = [_oracle_rotate_ccw(p, 1) for p in vertices]
+        (ex, ey), (sx, sy) = vertices[-1], turned[0]
+        vertices = (*vertices, *((x - sx + ex, y - sy + ey) for x, y in turned[1:]))
+    return vertices
+
+
+def _bound_error(vertices):
+    """The bound message for a path past +-2**62, from its coordinates as int64
+    holds them, or None. A path that leaves the bound must also read past it
+    after wrapping, or the one bound test could not see it."""
+    true = [c for p in vertices for c in p]
+    wrapped = [(c + 2**63) % 2**64 - 2**63 for c in true]
+    inside = -curves.COORD_BOUND <= min(true) <= max(true) <= curves.COORD_BOUND
+    assert inside == (-curves.COORD_BOUND <= min(wrapped) <= max(wrapped) <= curves.COORD_BOUND)
+    return None if inside else (
+        f"coordinates must be within +-2**62, got {min(wrapped)}..{max(wrapped)}")
+
+
+def _check_built(build, error, vertices, turns, final):
+    """``build()`` raises ``error`` when one is expected; else its curve has the
+    oracle's vertices and equals its rebuild through the checked constructor."""
+    if error:
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == error
+        return None
+    curve = build()
+    assert curve.vertices == tuple(vertices) and not curve.path.flags.writeable
+    assert (curve.source_turns, curve.final_heading) == (tuple(turns), final)
+    assert curve == LatticeCurve(curve.path.copy(), curve.source_turns, curve.final_heading)
+    return curve
+
+
+_near_bound = st.one_of(st.integers(curves.COORD_BOUND - 8, curves.COORD_BOUND),
+                        st.integers(curves.COORD_BOUND - 64, curves.COORD_BOUND + 64))
+_coordinate = st.one_of(st.integers(-64, 64), _near_bound, _near_bound.map(neg))
+_lr_words = st.lists(st.sampled_from("LR"), max_size=300)
+_shift = st.one_of(st.integers(-64, 64), st.integers(-curves.COORD_BOUND, curves.COORD_BOUND),
+                  st.sampled_from((curves.COORD_BOUND, -curves.COORD_BOUND)))
+_motions = st.builds(RigidMotion, st.sampled_from((0, 90, 180, 270)), st.booleans(),
+                     st.tuples(_shift, _shift))
+
+
+def _inside(start, word):
+    """The nearest start to ``start`` from which ``word`` stays within the bound."""
+    reach = curves.COORD_BOUND - len(word)
+    return tuple(max(-reach, min(reach, c)) for c in start)
+
+
+class TestBuildersAgainstCheckedConstructor:
+    """``trace``, ``apply_motion``, ``iterate_dragon`` and ``tessellate`` keep
+    the array they build, unchecked by ``LatticeCurve``: each output must equal
+    the oracle's curve and its own rebuild through the checked constructor, and
+    each rejected input must raise the message the checks give."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_lr_words, st.tuples(st.sampled_from(["X", "l", "", "LR", None]), st.integers(0, 300)),
+           st.sampled_from([False] * 3 + [True]), st.tuples(_coordinate, _coordinate),
+           st.sampled_from("ENWS" * 3 + "Q"))
+    def test_trace(self, word, bad, with_bad, start, heading):
+        label, at = bad
+        word = word[:at] + [label] + word[at:] if with_bad else word
+        vertices, final = (), None
+        if heading not in "ENWS":
+            error = f"bad initial heading {heading!r}"
+        elif max(map(abs, start)) > curves.COORD_BOUND:
+            error = f"start coordinates must be within +-2**62, got {start!r}"
+        elif with_bad:  # found before the path is traced, so before a bound it would cross
+            error = f"turn label must be 'L' or 'R', got {label!r}"
+        else:
+            vertices, _, final = _oracle_trace(word, start, heading)
+            error = _bound_error(vertices)
+        _check_built(lambda: trace(word, start, heading), error, vertices, word, final)
+
+    @settings(deadline=None)
+    @given(_lr_words, st.tuples(_coordinate, _coordinate), st.sampled_from("ENWS"),
+           st.lists(_motions, min_size=1, max_size=4))
+    def test_apply_motion_and_tessellate(self, word, start, heading, motions):
+        base = trace(word, _inside(start, word), heading)
+        vertices, _, final = _oracle_trace(word, base.start, heading)
+        error, tiles = None, []
+        for i, m in enumerate(motions):
+            moved, _, exit_heading = _oracle_motion(vertices, final, m.rotation, m.reflect,
+                                                    m.translation)
+            turns = "".join(word).translate(str.maketrans("LR", "RL")) if m.reflect else word
+            tile_error = _bound_error(moved)
+            tile = _check_built(lambda: apply_motion(base, m), tile_error, moved, turns,
+                                exit_heading)
+            if tile_error and not error:  # tessellate names the first tile past the bound
+                error = f"placements[{i}]: {tile_error}"
+            tiles.append(tile)
+        if error:
+            _check_built(lambda: tessellate(base, motions), error, (), (), "")
+        else:
+            assert tessellate(base, motions).tiles == tuple(tiles)
+
+    @settings(deadline=None)
+    @given(st.lists(st.sampled_from("LR"), max_size=40), st.tuples(_coordinate, _coordinate),
+           st.integers(0, 8))
+    def test_iterate_dragon(self, word, start, generations):
+        base = trace(word, _inside(start, word))
+        if generations == 0 or not word:
+            assert iterate_dragon(base, generations) is base
+            return
+        vertices = _oracle_dragon(base.vertices, generations)
+        final = _HEADING_OF[tuple(np.subtract(vertices[-1], vertices[-2]).tolist())]
+        _check_built(lambda: iterate_dragon(base, generations), _bound_error(vertices),
+                     vertices, (), final)
 
 
 class TestRegionCounting:
@@ -453,10 +591,10 @@ class TestSeahorseScan:
         assert lines[2:4] == GOLDEN.read_text().split()
 
     def test_builds_no_curve_per_word(self, monkeypatch):
-        def no_curve(self):
+        def no_curve(*args):
             raise AssertionError("a LatticeCurve was built")
 
-        monkeypatch.setattr(LatticeCurve, "__post_init__", no_curve)
+        monkeypatch.setattr(curves, "_hold", no_curve)
         assert seahorse_words(14)
         assert len(scan_turn_words(8)) == 2**9 - 2
 
@@ -569,6 +707,12 @@ class TestRigidMotion:
         with pytest.raises(ValueError, match=r"translation must be an integer vector \(x, y\)"):
             RigidMotion(translation=translation)
 
+    def test_translation_bounded_where_it_enters(self):
+        with pytest.raises(ValueError) as info:
+            RigidMotion(translation=[0, -(2**62) - 1])
+        assert str(info.value) == ("translation coordinates must be within +-2**62, "
+                                   "got [0, -4611686018427387905]")
+
     def test_translation_list_of_two_accepted(self):
         assert RigidMotion(translation=[2, -3]).apply_point((1, 1)) == (3, -2)
 
@@ -656,13 +800,14 @@ class TestIterateDragon:
     def test_builds_one_curve(self, monkeypatch):
         seed = trace("LLR")
         built = []
-        validate = LatticeCurve.__post_init__
+        hold = curves._hold
 
-        def counted(curve):
+        def counted(*args):
+            curve = hold(*args)
             built.append(curve.segment_count)
-            validate(curve)
+            return curve
 
-        monkeypatch.setattr(LatticeCurve, "__post_init__", counted)
+        monkeypatch.setattr(curves, "_hold", counted)
         assert iterate_dragon(seed, 6).segment_count == 3 * 2**6
         assert built == [3 * 2**6]
         assert iterate_dragon(seed, 0) is seed
