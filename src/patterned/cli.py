@@ -489,20 +489,22 @@ class _Parser(argparse.ArgumentParser):
     of exactly one long one. Each subcommand's parser joins its own flags."""
 
     def __init__(self, *args, **kwargs):
-        self.takes_value = {}  # every option string: whether it takes one value
+        self.value_flags, self.other_flags = set(), set()  # option strings taking one value, or not
         super().__init__(*args, **kwargs)
 
     def add_argument(self, *args, **kwargs):
         action = super().add_argument(*args, **kwargs)
-        self.takes_value.update(dict.fromkeys(action.option_strings, action.nargs is None))
+        flags = self.value_flags if action.nargs is None else self.other_flags
+        flags.update(action.option_strings)
         return action
 
     def _reads_a_value(self, flag: str) -> bool:
         """Whether argparse reads ``flag`` as an option that takes one value."""
-        if flag not in self.takes_value and self.allow_abbrev and flag.startswith("--"):
-            matches = [option for option in self.takes_value if option.startswith(flag)]
+        flags = self.value_flags | self.other_flags
+        if flag not in flags and self.allow_abbrev and flag.startswith("--"):
+            matches = [option for option in flags if option.startswith(flag)]
             flag = matches[0] if len(matches) == 1 else None
-        return self.takes_value.get(flag, False)
+        return flag in self.value_flags
 
     def parse_known_args(self, args=None, namespace=None):
         joined = []
