@@ -4,18 +4,20 @@ A number qualifies ("is patterned") when one of its nonzero decimal digits
 divides it. Everything else in the package is built on this predicate: the
 ordered sequence of qualifying numbers, their counting density, a closed-form
 prime characterization, the L/R turn operator driven by the parity of the
-digit-divisor matches, and a per-number site energy.
+digit-divisor matches, and the site energies along the sequence.
 
 Every caller classifies through one numpy block classifier,
 :func:`classify_block`, and counts come from a digit DP,
-:func:`count_patterned`, that is checked against it. Two independent scalar
-implementations of the predicate are kept as oracles that tests check both
-against; no other code here calls them.
+:func:`count_patterned`, that is checked against it. No command calls the
+scalar oracles that tests check them against: the independent predicates
+:func:`is_patterned_digit_first` and :func:`is_patterned_divisor_first`, the
+closed forms :func:`is_patterned_two_digit` and :func:`is_patterned_prime`
+(with :func:`is_prime`), and :func:`profile`, one number's digit sets.
 """
 
 from dataclasses import dataclass
 from math import gcd, isqrt
-from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -367,62 +369,24 @@ def count_and_density(limit: int) -> DensityReport:
     return DensityReport(limit=limit, count=count, density=count / limit)
 
 
-def turn(n: int) -> str:
-    """Turn label of a qualifying number: L for odd match count, R for even.
-
-    Undefined (raises ValueError) off the qualifying sequence.
-    """
-    prof = profile(n)
-    if not prof.is_patterned:
-        raise ValueError(f"turn is undefined for {n}: no digit-divisor match")
-    return prof.turn
-
-
-def site_energy(
-    n: int,
-    prev_turn: Optional[str] = None,
-    alpha: float = 1.0,
-    beta: float = 0.5,
-) -> float:
-    """Per-site energy: alpha * match_count + beta * repeat-turn penalty.
-
-    The penalty term is 1 when the site's turn equals ``prev_turn`` (a
-    straight run of identical turns, used as a curvature proxy), else 0.
-    """
-    return site_energies([n], alpha, beta, prev_turn)[0][0]
-
-
 def site_energies(
-    members: Iterable[int],
+    members: Members,
     alpha: float = 1.0,
     beta: float = 0.5,
-    prev_turn: Optional[str] = None,
 ) -> Tuple[List[float], List[str]]:
-    """Site energies and turn labels along qualifying numbers.
+    """Site energies and turn labels along a :class:`Members` scan.
 
-    ``members`` is a :class:`Members` scan, or numbers that are classified
-    here as one block. Each member's repeat-penalty context is the turn of
-    the member before it; the first member's is ``prev_turn``.
+    Each member's energy is alpha * match_count, plus beta when its turn
+    repeats the turn of the member before it (a straight run of identical
+    turns, used as a curvature proxy); the first member has no predecessor.
     """
-    if prev_turn not in (None, TURN_LEFT, TURN_RIGHT):
-        raise ValueError(f"prev_turn must be 'L', 'R' or None, got {prev_turn!r}")
     for name, value in (("alpha", alpha), ("beta", beta)):
         if not (value == value and abs(value) != float("inf")):
             raise ValueError(f"{name} must be finite, got {value}")
-    if isinstance(members, Members):
-        matches = members.matches
-    else:
-        numbers = list(members)
-        for n in numbers:
-            _check_positive(n)
-        _, matches = classify_block(np.array(numbers, dtype=np.int64))
-        if not matches.all():
-            n = numbers[int(np.argmin(matches))]
-            raise ValueError(f"site energy is undefined for {n}: no digit-divisor match")
-    counts = _POPCOUNT[matches]
+    counts = _POPCOUNT[members.matches]
     parity = counts & 1
-    # the parity of the turn before each member; 2, matching none, for no turn
-    before = np.concatenate(([TURN_OF_PARITY.index(prev_turn) if prev_turn else 2], parity[:-1]))
+    # the parity of the turn before each member; 2, matching none, for the first
+    before = np.concatenate(([2], parity[:-1]))
     with np.errstate(over="ignore"):  # as in float arithmetic, a sum past the range is inf
         energies = float(alpha) * counts + float(beta) * (parity == before)
-    return energies.tolist(), turn_labels(matches)
+    return energies.tolist(), turn_labels(members.matches)

@@ -3,11 +3,15 @@
 A turn word is traced as a turtle path on the integer grid: advance one unit,
 then rotate the heading 90 degrees left or right. A curve is one read-only
 int64 array of its vertices, built and checked by array operations. The module
-also provides planar statistics (two independent bounded-region counters), the
-seahorse classification, rigid motions of the lattice, the curve-doubling
-iteration, and tessellations built from rigid-motion copies.
+also provides planar statistics, the seahorse classification, rigid motions of
+the lattice, the curve-doubling iteration, and tessellations built from
+rigid-motion copies. No command calls its oracles: the checked constructor
+``LatticeCurve(...)`` with :func:`curve_from_vertices`, the region counters
+:func:`bounded_regions_euler` and :func:`region_count_flood`, and
+:func:`is_seahorse`.
 """
 
+import operator
 from collections import deque
 from dataclasses import dataclass
 from itertools import product, repeat
@@ -158,26 +162,17 @@ def _norm_edge(a: Point, b: Point) -> Tuple[Point, Point]:
     return (a, b) if a <= b else (b, a)
 
 
-def trace(
-    turns: Iterable[str],
-    start: Point = (0, 0),
-    initial_heading: str = "E",
-) -> LatticeCurve:
-    """Trace a turn word: per label, move one unit forward, then rotate.
+def trace(turns: Iterable[str]) -> LatticeCurve:
+    """Trace a turn word from (0, 0), heading E: per label, move one unit
+    forward, then rotate. Any other start and heading is a rigid motion away
+    (``apply_motion``).
 
     k labels produce k segments and k+1 vertices. The last rotation only
     sets the exit heading stored on the curve.
     """
-    if initial_heading not in HEADINGS:
-        raise ValueError(f"bad initial heading {initial_heading!r}")
-    if len(start) != 2 or not all(isinstance(c, int) for c in start):
-        raise ValueError(f"start must be an integer point, got {start!r}")
-    if not all(-COORD_BOUND <= c <= COORD_BOUND for c in start):
-        raise ValueError(f"start coordinates must be within +-2**62, got {start!r}")
     word = tuple(turns)
-    # the heading of each step, then the exit one
-    h = np.concatenate(([HEADINGS.index(initial_heading)], _turn_codes(word))).cumsum() % 4
-    path = np.concatenate(([start], _STEP_ARRAY[h[:-1]])).cumsum(axis=0)
+    h = np.concatenate(([0], _turn_codes(word))).cumsum() % 4  # each step's heading, then the exit
+    path = np.concatenate(([(0, 0)], _STEP_ARRAY[h[:-1]])).cumsum(axis=0)
     return _hold(object.__new__(LatticeCurve), path, word, HEADINGS[h[-1]])
 
 
@@ -190,20 +185,23 @@ def curve_from_vertices(vertices: Iterable[Point]) -> LatticeCurve:
     """Build a curve from an explicit unit-step vertex path (no turn word).
 
     Coordinates must be integers (numpy integers included); anything else
-    raises ``ValueError`` rather than being truncated.
+    raises ``ValueError`` rather than being truncated. Each is read with
+    ``operator.index`` and bounded as a Python int, so no numpy type
+    promotion can turn integers into floats first.
     """
     vertices = list(vertices)
-    points = np.array(vertices)
-    # integers past int64, which numpy holds as floats or objects, or as given in uint64
-    if points.shape[1:] == (2,) and (points.dtype.kind == "u" and points.max() >= 2**63 or (
-            points.dtype.kind in "fO" and all(
-                isinstance(c, (int, np.integer)) for v in vertices for c in v))):
-        raise ValueError("coordinates must be within +-2**62, got "
-                         f"{min(min(v) for v in vertices)}..{max(max(v) for v in vertices)}")
-    if points.size and (points.dtype.kind not in "biu" or points.shape[1:] != (2,)):
+    try:
+        coords = [[operator.index(c) for c in v] for v in vertices]
+    except TypeError:
+        coords = None
+    if coords is None or any(len(v) != 2 for v in coords):
+        points = np.array(vertices)
         raise ValueError(f"vertex coordinates must be integers in (x, y) pairs, "
                          f"got {points.dtype} of shape {points.shape}")
-    path = points.astype(np.int64).reshape(-1, 2)
+    flat = [c for v in coords for c in v]
+    if flat and not -COORD_BOUND <= min(flat) <= max(flat) <= COORD_BOUND:
+        raise ValueError(f"coordinates must be within +-2**62, got {min(flat)}..{max(flat)}")
+    path = np.array(coords, dtype=np.int64).reshape(-1, 2)
     return LatticeCurve(path, (), _last_step_heading(path))
 
 
@@ -390,10 +388,6 @@ class RigidMotion:
         a, b, c, d = self.matrix
         x, y = p
         return (a * x + b * y, c * x + d * y)
-
-    def apply_point(self, p: Point) -> Point:
-        x, y = self.apply_vector(p)
-        return (x + self.translation[0], y + self.translation[1])
 
 
 def _moved(path: np.ndarray, matrix: Tuple[int, int, int, int], shift) -> np.ndarray:

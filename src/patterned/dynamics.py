@@ -9,7 +9,8 @@ Both walk entries check their input once. Real coins on a real start keep
 every amplitude real, so ``run_walk`` steps two float64 arrays in place, with
 the products and sums of the complex kernel of ``unitary_walk_step`` in the
 same order, and gives the same bits; it checks the norm once, after the last
-step.
+step. No command calls the oracles :func:`deterministic_walk` and the complex
+kernel (:class:`WalkState`, :func:`localized_state`, :func:`unitary_walk_step`).
 
 Oscillator physics is computed entirely in the single-excitation sector,
 where the interpolated chain Hamiltonian is a real symmetric tridiagonal
@@ -99,29 +100,22 @@ class DeterministicWalk:
     vertices: Tuple[Tuple[int, int], ...]
     headings: Tuple[str, ...]
     turns: Tuple[str, ...]
-    final_coin: str
 
 
 _HEADING_OF_UNIT = {(1, 0): "E", (0, 1): "N", (-1, 0): "W", (0, -1): "S"}
 
 
-def deterministic_walk(
-    k: int,
-    start: Tuple[int, int] = (0, 0),
-    start_coin: str = TURN_LEFT,
-) -> DeterministicWalk:
-    """Run the rewrite over the first k qualifying numbers.
+def deterministic_walk(k: int) -> DeterministicWalk:
+    """Run the rewrite over the first k qualifying numbers, from (0, 0) heading east.
 
-    The rewrite's output coin is the site's turn label, so ``start_coin``
-    provably never influences the trajectory. Implemented with complex
-    arithmetic (heading as a unit in the Gaussian integers), deliberately
-    sharing nothing with the turtle tracer it is checked against.
+    The rewrite's output coin is the site's turn label, so the incoming coin
+    never influences the trajectory. Implemented with complex arithmetic
+    (heading as a unit in the Gaussian integers), deliberately sharing
+    nothing with the turtle tracer it is checked against.
     """
-    if start_coin not in (TURN_LEFT, TURN_RIGHT):
-        raise ValueError(f"start_coin must be 'L' or 'R', got {start_coin!r}")
-    position = complex(start[0], start[1])
+    position = 0j
     heading = 1 + 0j  # east
-    vertices = [(start[0], start[1])]
+    vertices = [(0, 0)]
     headings: List[str] = []
     turns = turn_sequence(k)
     for coin in turns:
@@ -129,12 +123,7 @@ def deterministic_walk(
         position += heading
         vertices.append((int(position.real), int(position.imag)))
         heading *= 1j if coin == TURN_LEFT else -1j
-    return DeterministicWalk(
-        vertices=tuple(vertices),
-        headings=tuple(headings),
-        turns=tuple(turns),
-        final_coin=turns[-1],
-    )
+    return DeterministicWalk(vertices=tuple(vertices), headings=tuple(headings), turns=tuple(turns))
 
 
 # ---------------------------------------------------------------------------
@@ -255,15 +244,6 @@ def run_walk(
 # site energies and the single-excitation chain
 # ---------------------------------------------------------------------------
 
-def energy_landscape(limit: int, alpha: float = 1.0, beta: float = 0.5) -> List[float]:
-    """Site energies along the qualifying numbers <= limit.
-
-    This is the diagonal Hamiltonian of the sequence: each entry is the
-    site energy with the previous site's turn as the repeat-penalty context.
-    """
-    return site_energies(scan_members(limit=limit), alpha, beta)[0]
-
-
 @dataclass(frozen=True)
 class OscillatorChain:
     """Chain parameters: site frequencies, turn-selected couplings, mix s."""
@@ -371,11 +351,6 @@ def participation_ratios(vectors: np.ndarray) -> np.ndarray:
     if bad.any():
         raise ValueError(f"vector norm^2 is {norm_sq[bad][0]:.6f}, expected 1")
     return 1.0 / np.ascontiguousarray((v**4).T).sum(axis=1)
-
-
-def participation_ratio(vector: np.ndarray) -> float:
-    """Inverse participation ratio of one unit vector."""
-    return float(participation_ratios(np.asarray(vector, dtype=float)[:, None])[0])
 
 
 def eigensystem(matrix: SymTridiag) -> Spectrum:

@@ -1,8 +1,10 @@
-"""DAGs over the qualifying numbers: chains, prime clusters, gap statistics.
+"""DAGs over the qualifying numbers: chains and prime clusters.
 
 Edges always point from smaller to larger integers, so ascending n is a
 topological order; the verifier checks this and treats a failure as an
-internal bug rather than a user error.
+internal bug rather than a user error. Commands split the primes with
+:func:`split_primes`; :func:`patterned_primes` and :func:`gap_primes` are its
+two halves as lists, which the acceptance checks read.
 """
 
 from dataclasses import dataclass
@@ -11,7 +13,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .core import classify_block, patterned_sequence, prime_array, scan_members
+from .core import classify_block, prime_array, scan_members
 from .errors import InvariantError
 
 KIND_PATTERNED_PRIME_SMALL = "patterned_prime_small"
@@ -60,21 +62,16 @@ def split_primes(limit: int) -> Tuple[np.ndarray, np.ndarray]:
     return primes, classify_block(primes)[1] != 0
 
 
-def partition_primes(limit: int) -> Tuple[List[int], List[int]]:
-    """Primes <= limit from one sieve, split into the qualifying ones
-    (p <= 9 or digit 1 present) and the gap primes (> 9 and no digit 1)."""
-    primes, qualifies = split_primes(limit)
-    return primes[qualifies].tolist(), primes[~qualifies].tolist()
-
-
 def patterned_primes(limit: int) -> List[int]:
     """Primes <= limit that qualify (p <= 9 or digit 1 present)."""
-    return partition_primes(limit)[0]
+    primes, qualifies = split_primes(limit)
+    return primes[qualifies].tolist()
 
 
 def gap_primes(limit: int) -> List[int]:
     """Primes <= limit that do not qualify (> 9 and no digit 1)."""
-    return partition_primes(limit)[1]
+    primes, qualifies = split_primes(limit)
+    return primes[~qualifies].tolist()
 
 
 def _path_edges(ns: np.ndarray) -> np.ndarray:
@@ -133,12 +130,3 @@ def verify_acyclic_and_sort(dag: PatternedDag) -> List[int]:
         raise InvariantError(f"edge ({u}, {v}) {problem}")
     return nodes.tolist()
 
-
-def gap_statistics(limit: int) -> List[Tuple[int, int]]:
-    """Maximal runs of consecutive non-qualifying integers <= limit.
-
-    Returns (first integer of the run, run length) pairs. Runs are clipped
-    at the limit.
-    """
-    bounds = [0] + patterned_sequence(limit) + [limit + 1]
-    return [(a + 1, b - a - 1) for a, b in zip(bounds, bounds[1:]) if b - a > 1]

@@ -51,17 +51,6 @@ class SymTridiag:
         m[idx + 1, idx] = self.offdiag
         return m
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        out = self.diag * v
-        out[:-1] += self.offdiag * v[1:]
-        out[1:] += self.offdiag * v[:-1]
-        return out
-
-    def norm_bound(self) -> float:
-        """Infinity-norm upper bound, cheap scale reference for residuals."""
-        e = np.concatenate(([0.0], np.abs(self.offdiag), [0.0]))
-        return float(np.max(np.abs(self.diag) + e[:-1] + e[1:]))
-
 
 def eigh_tridiagonal(matrix: SymTridiag) -> Tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvector columns.

@@ -29,8 +29,6 @@ from patterned.core import (
     profile,
     scan_members,
     site_energies,
-    site_energy,
-    turn,
     turn_sequence,
 )
 
@@ -87,8 +85,6 @@ class TestProfile:
     def test_rejects_values_an_int64_array_would_convert(self, bad):
         with pytest.raises(ValueError):
             profile(bad)
-        with pytest.raises(ValueError):
-            site_energies([1, bad])
 
 
 class TestPredicate:
@@ -239,17 +235,16 @@ class TestCountAndDensity:
 
 class TestTurn:
     def test_examples(self):
-        assert turn(11) == "L"
-        assert turn(12) == "R"
-        assert turn(36) == "R"
+        assert profile(11).turn == "L"
+        assert profile(12).turn == "R"
+        assert profile(36).turn == "R"
 
     def test_undefined_off_sequence(self):
-        with pytest.raises(ValueError):
-            turn(23)
+        assert profile(23).turn is None
 
     def test_total_on_sequence(self):
         for n in patterned_sequence(1000):
-            assert turn(n) in ("L", "R")
+            assert profile(n).turn in ("L", "R")
 
     def test_turn_sequence_first_three(self):
         assert turn_sequence(3) == ["L", "L", "L"]
@@ -263,47 +258,42 @@ class TestTurn:
     def test_turn_sequence_elementwise(self):
         labels = turn_sequence(200)
         members = patterned_sequence(1000)[:200]
-        assert labels == [turn(n) for n in members]
+        assert labels == [profile(n).turn for n in members]
 
 
 class TestSiteEnergy:
+    """The energy of one member, read from ``site_energies`` along a scan."""
+
     def test_repeat_turn_penalty(self):
-        assert site_energy(36, prev_turn="R", alpha=1, beta=1) == 3.0
+        # 2 turns L, as 1 before it does
+        assert site_energies(scan_members(limit=2), alpha=1, beta=1)[0] == [1.0, 2.0]
 
     def test_no_predecessor(self):
-        assert site_energy(1, prev_turn=None, alpha=1, beta=1) == 1.0
+        assert site_energies(scan_members(k=1), alpha=1, beta=1)[0] == [1.0]
 
     def test_beta_zero_disables_penalty(self):
-        assert site_energy(12, prev_turn="L", alpha=1, beta=0) == 2.0
-
-    def test_undefined_off_sequence(self):
-        with pytest.raises(ValueError):
-            site_energy(23)
-
-    def test_rejects_bad_prev_turn(self):
-        with pytest.raises(ValueError):
-            site_energy(12, prev_turn="X")
+        assert site_energies(scan_members(limit=12), alpha=1, beta=0)[0][-1] == 2.0
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_rejects_non_finite_weights(self, bad):
-        with pytest.raises(ValueError):
-            site_energy(12, alpha=bad)
-        with pytest.raises(ValueError):
-            site_energy(12, beta=bad)
+        with pytest.raises(ValueError, match="^alpha must be finite"):
+            site_energies(scan_members(k=3), alpha=bad)
+        with pytest.raises(ValueError, match="^beta must be finite"):
+            site_energies(scan_members(k=3), beta=bad)
 
     def test_monotone_in_alpha_and_beta(self):
-        for n in (1, 12, 36, 100):
-            for prev in (None, "L", "R"):
-                base = site_energy(n, prev, alpha=1.0, beta=1.0)
-                assert site_energy(n, prev, alpha=2.0, beta=1.0) >= base
-                assert site_energy(n, prev, alpha=1.0, beta=2.0) >= base
+        members = scan_members(limit=100)
+        base = site_energies(members, alpha=1.0, beta=1.0)[0]
+        for alpha, beta in ((2.0, 1.0), (1.0, 2.0)):
+            energies = site_energies(members, alpha=alpha, beta=beta)[0]
+            assert all(e >= b for e, b in zip(energies, base))
 
 
 class TestSiteEnergies:
     @pytest.mark.parametrize("alpha, beta", [(1.0, 0.5), (0.3, 1.7), (2, 0)])
     def test_matches_naive_energies(self, alpha, beta):
         members = patterned_sequence(500)
-        energies, turns = site_energies(members, alpha, beta)
+        energies, turns = site_energies(scan_members(limit=500), alpha, beta)
         prev = None
         for n, energy, label in zip(members, energies, turns):
             matches = sum(1 for c in set(str(n)) if c != "0" and n % int(c) == 0)
@@ -313,18 +303,11 @@ class TestSiteEnergies:
             prev = label
 
     def test_one_profile_per_member(self, monkeypatch):
-        members = patterned_sequence(100)
-        blocks = []
-        real = core.classify_block
-        monkeypatch.setattr(core, "classify_block", lambda a: blocks.append(a.tolist()) or real(a))
-        site_energies(members)
-        assert blocks == [members]
-
-    def test_rejects_non_patterned_and_non_finite(self):
-        with pytest.raises(ValueError):
-            site_energies([1, 23])
-        with pytest.raises(ValueError):
-            site_energies([1], alpha=float("nan"))
+        # the scan classifies each member once; the energies read its masks
+        members = scan_members(limit=100)
+        monkeypatch.setattr(core, "classify_block", None)
+        energies, turns = site_energies(members)
+        assert len(energies) == len(turns) == len(members.numbers) == 69
 
 
 def oracle_match_count(n):

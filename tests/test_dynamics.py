@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patterned import core, dynamics
-from patterned.core import patterned_sequence, turn_sequence
+from patterned.core import patterned_sequence, scan_members, site_energies, turn_sequence
 from patterned.curves import trace
 from patterned.dynamics import (
     BOUNDARY_ABSORBING,
@@ -25,9 +25,7 @@ from patterned.dynamics import (
     build_single_excitation_hamiltonian,
     deterministic_walk,
     eigensystem,
-    energy_landscape,
     localized_state,
-    participation_ratio,
     participation_ratios,
     patterned_chain,
     run_walk,
@@ -58,12 +56,6 @@ class TestDeterministicWalk:
         w = deterministic_walk(1)
         assert w.vertices == ((0, 0), (1, 0))
         assert w.turns == ("L",)
-        assert w.final_coin == "L"
-
-    def test_coin_independence(self):
-        assert deterministic_walk(20, start_coin="L") == deterministic_walk(
-            20, start_coin="R"
-        )
 
     def test_matches_trace_k12(self):
         w = deterministic_walk(12)
@@ -307,16 +299,18 @@ class TestWalkEntries:
 
 
 class TestEnergyLandscape:
+    """The diagonal Hamiltonian of the sequence: the site energies of a scan."""
+
     def test_zero_weights(self):
-        assert energy_landscape(50, alpha=0.0, beta=0.0) == [0.0] * len(
+        assert site_energies(scan_members(limit=50), alpha=0.0, beta=0.0)[0] == [0.0] * len(
             patterned_sequence(50)
         )
 
     def test_limit_12_match_counts(self):
-        assert energy_landscape(12, alpha=1.0, beta=0.0) == [1.0] * 11 + [2.0]
+        assert site_energies(scan_members(limit=12), alpha=1.0, beta=0.0)[0] == [1.0] * 11 + [2.0]
 
     def test_diagonal_spectrum_is_energy_multiset(self):
-        energies = energy_landscape(40)  # default weights, all >= 1
+        energies = site_energies(scan_members(limit=40))[0]  # default weights, all >= 1
         tri = SymTridiag(diag=np.array(energies), offdiag=np.zeros(len(energies) - 1))
         spectrum = eigensystem(tri)
         assert np.allclose(spectrum.eigenvalues, np.sort(energies), atol=1e-12)
@@ -410,23 +404,23 @@ class TestHamiltonian:
 
 class TestParticipationRatio:
     def test_basis_vector(self):
-        assert participation_ratio(np.array([0.0, 1.0, 0.0])) == pytest.approx(1.0)
+        assert participation_ratios(np.array([[0.0], [1.0], [0.0]])) == pytest.approx([1.0])
 
     def test_uniform_vector(self):
         n = 16
-        assert participation_ratio(np.full(n, 1 / np.sqrt(n))) == pytest.approx(n)
+        assert participation_ratios(np.full((n, 1), 1 / np.sqrt(n))) == pytest.approx([n])
 
     def test_two_site_example(self):
-        v = np.array([np.sqrt(0.8), np.sqrt(0.2)])
-        assert participation_ratio(v) == pytest.approx(1 / 0.68, abs=1e-12)
+        v = np.array([[np.sqrt(0.8)], [np.sqrt(0.2)]])
+        assert participation_ratios(v) == pytest.approx([1 / 0.68], abs=1e-12)
 
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError):
-            participation_ratio(np.array([1.0, 1.0]))
+            participation_ratios(np.array([[1.0], [1.0]]))
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
-            participation_ratio(np.array([np.nan, 1.0]))
+            participation_ratios(np.array([[np.nan], [1.0]]))
         with pytest.raises(ValueError):
             participation_ratios(np.array([[1.0, np.nan], [0.0, 0.0]]))
 
@@ -437,7 +431,7 @@ class TestParticipationRatio:
             _, vectors = eigh_tridiagonal(matrix)
             one_at_a_time = [1.0 / np.sum(vectors[:, j] ** 4) for j in range(n)]
             assert participation_ratios(vectors).tolist() == one_at_a_time
-            assert [participation_ratio(vectors[:, j]) for j in range(n)] == one_at_a_time
+            assert [participation_ratios(vectors[:, [j]])[0] for j in range(n)] == one_at_a_time
 
 
 class TestSweep:

@@ -1,4 +1,4 @@
-"""DAG construction, topological sorting, and gap statistics tests."""
+"""DAG construction, prime split and topological sorting tests."""
 
 import heapq
 import itertools
@@ -30,8 +30,6 @@ from patterned.graphs import (
     PatternedDag,
     build_dag,
     gap_primes,
-    gap_statistics,
-    partition_primes,
     patterned_primes,
     split_primes,
     verify_acyclic_and_sort,
@@ -91,7 +89,7 @@ class OracleDag:
 def oracle_build_dag(limit, include_chain=True, include_prime_cluster=True,
                      include_gap_primes=False) -> OracleDag:
     members = patterned_sequence(limit)
-    pp, gp = partition_primes(limit)
+    pp, gp = patterned_primes(limit), gap_primes(limit)
     kinds = dict.fromkeys(members, KIND_PATTERNED_COMPOSITE)
     for p in pp:
         kinds[p] = KIND_PATTERNED_PRIME_SMALL if p <= 9 else KIND_PATTERNED_PRIME_DIGIT1
@@ -240,10 +238,12 @@ class TestPrimePartition:
     def test_partition_primes_sieves_once(self, monkeypatch):
         sieves = []
         monkeypatch.setattr(graphs, "prime_array", lambda n: sieves.append(n) or prime_array(n))
-        assert partition_primes(100) == (PATTERNED_PRIMES_100, GAP_PRIMES_100)
+        assert patterned_primes(100) == PATTERNED_PRIMES_100
         assert sieves == [100]
-        build_dag(100, include_gap_primes=True)
+        assert gap_primes(100) == GAP_PRIMES_100
         assert sieves == [100, 100]
+        build_dag(100, include_gap_primes=True)
+        assert sieves == [100, 100, 100]
 
 
 class TestBuildDag:
@@ -330,27 +330,3 @@ class TestTopologicalSort:
         dag = build_dag(1000, include_gap_primes=True)
         assert len(verify_acyclic_and_sort(dag)) == len(dag.nodes)
 
-
-class TestGapStatistics:
-    def test_gaps_to_30(self):
-        assert gap_statistics(30) == [(23, 1), (27, 1), (29, 1)]
-
-    def test_no_gaps_below_10(self):
-        assert gap_statistics(9) == []
-
-    def test_gap_clipped_at_limit(self):
-        assert gap_statistics(23)[-1] == (23, 1)
-
-    def test_runs_are_maximal_and_non_patterned(self):
-        from patterned.core import is_patterned
-
-        limit = 500
-        for start, length in gap_statistics(limit):
-            assert all(not is_patterned(n) for n in range(start, start + length))
-            assert start == 1 or is_patterned(start - 1)
-            assert start + length > limit or is_patterned(start + length)
-
-    def test_gap_lengths_cover_non_patterned_count(self):
-        limit = 1000
-        total = sum(length for _, length in gap_statistics(limit))
-        assert total == limit - len(patterned_sequence(limit))

@@ -19,7 +19,14 @@ from hypothesis import strategies as st
 
 from patterned import core, serialize
 from patterned.core import MAX_INT, profile
-from patterned.curves import COORD_BOUND, curve_stats, max_run_length, trace
+from patterned.curves import (
+    COORD_BOUND,
+    RigidMotion,
+    apply_motion,
+    curve_stats,
+    max_run_length,
+    trace,
+)
 from test_serialize import member_block, ref_line, ref_path, ref_profile_row
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -69,7 +76,7 @@ coordinate = st.one_of(st.integers(-(2**20), 2**20), near_bound, near_bound.map(
     st.sampled_from([1, 0.1, 1 / 3, 1e-300, 1e300]),  # 1e300 takes large coordinates to inf
 )
 def test_traced_svg_path(word, start, unit):
-    curve = trace(word, start=start)
+    curve = apply_motion(trace(word), RigidMotion(translation=start))
     with np.errstate(over="ignore"):
         assert serialize._svg_path(curve.path, unit) == ref_path(curve.vertices, unit)
     xs, ys = zip(*curve.vertices)

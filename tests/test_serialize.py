@@ -207,7 +207,8 @@ class TestSvg:
 
     @pytest.mark.parametrize("unit", UNITS)
     def test_curve_with_negative_coordinates(self, unit):
-        curve = curves.trace(self.WORD, start=(-5, -7), initial_heading="S")
+        motion = curves.RigidMotion(270, False, (-5, -7))  # from (-5, -7), heading S
+        curve = curves.apply_motion(curves.trace(self.WORD), motion)
         assert min(min(v) for v in curve.vertices) < 0
         assert serialize.curve_svg(curve, unit) == ref_svg([("curve-0", curve)], unit)
 
@@ -233,7 +234,7 @@ class TestSvg:
     def test_unit_checked_at_every_far_corner(self, start, finite):
         # LL from (10, 0): x spans 9..12 with its margin, and of the view box and
         # far corners only 12 * unit overflows; from (0, 10) y and the flip offset do
-        curve = curves.trace("LL", start=start)
+        curve = curves.apply_motion(curves.trace("LL"), curves.RigidMotion(translation=start))
         if finite:
             assert "inf" not in serialize.curve_svg(curve, 1.6e307)
         else:

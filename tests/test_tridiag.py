@@ -25,12 +25,6 @@ class TestSymTridiag:
         with pytest.raises(ValueError):
             SymTridiag(diag=np.array([1.0, np.nan]), offdiag=np.array([0.0]))
 
-    def test_dense_and_matvec_agree(self):
-        rng = np.random.default_rng(5)
-        tri = SymTridiag(diag=rng.normal(size=7), offdiag=rng.normal(size=6))
-        v = rng.normal(size=7)
-        assert np.allclose(tri.matvec(v.copy()), tri.to_dense() @ v)
-
 
 class TestEigh:
     def test_diagonal_matrix_exact(self):
@@ -64,9 +58,10 @@ class TestEigh:
         for n in (3, 10, 40):
             tri = SymTridiag(diag=rng.normal(size=n), offdiag=rng.normal(size=n - 1))
             values, vectors = eigh_tridiagonal(tri)
-            scale = tri.norm_bound()
+            dense = tri.to_dense()
+            scale = np.linalg.norm(dense, np.inf)
             for j in range(n):
-                residual = np.linalg.norm(tri.matvec(vectors[:, j].copy()) - values[j] * vectors[:, j])
+                residual = np.linalg.norm(dense @ vectors[:, j] - values[j] * vectors[:, j])
                 assert residual <= 1e-8 * max(scale, 1e-300)
             assert abs(values.sum() - tri.diag.sum()) <= 1e-8 * max(abs(tri.diag.sum()), 1.0)
 
@@ -75,8 +70,9 @@ class TestEigh:
         for n in (4, 16, 64):
             tri = SymTridiag(diag=rng.normal(size=n), offdiag=rng.normal(size=n - 1))
             values, _ = eigh_tridiagonal(tri)
-            reference = np.linalg.eigvalsh(tri.to_dense())
-            assert np.max(np.abs(values - reference)) < 1e-10 * max(tri.norm_bound(), 1.0)
+            dense = tri.to_dense()
+            reference = np.linalg.eigvalsh(dense)
+            assert np.max(np.abs(values - reference)) < 1e-10 * max(np.linalg.norm(dense, 1), 1)
 
     def test_eigenvalues_ascending(self):
         rng = np.random.default_rng(31)
