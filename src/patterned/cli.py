@@ -127,18 +127,24 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 @contextmanager
 def _out_stream(path: Optional[str]):
     """Stdout, or a new file beside ``path`` that replaces it once the command
-    has written everything: a failure leaves any earlier file as it was."""
+    has written everything: a failure leaves any earlier file as it was. A
+    symlink is followed and kept; a FIFO, device or other file that is not
+    regular is written directly, as it cannot be replaced."""
     if path is None:
         yield sys.stdout
         return
-    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+    direct = os.path.exists(path) and not os.path.isfile(path)
+    target = path if direct else os.path.realpath(path)
+    tmp = target if direct else f"{target}.{os.urandom(4).hex()}.tmp"
     try:
-        with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
+        with open(tmp, "w" if direct else "x", encoding="utf-8", newline="\n") as fh:
             yield fh
-        os.replace(tmp, path)
+        if not direct:
+            os.replace(tmp, target)
     except BaseException as exc:
-        with suppress(OSError):
-            os.remove(tmp)
+        if not direct:
+            with suppress(OSError):
+                os.remove(tmp)
         if isinstance(exc, OSError) and exc.filename == tmp:  # name the requested path
             raise type(exc)(exc.errno, exc.strerror, path) from None
         raise
@@ -477,48 +483,14 @@ _COMMANDS = {
 }
 
 
-# A value that argparse would read as an option: it reads -1 and -.5 as values,
-# but not -1e308, -inf or the s grid -1:0:3.
+# What each subcommand's parser takes for a negative number, and so reads as a
+# value wherever it reads -1 as one: argparse's default takes -1 and -.5, but not
+# -1e308, -inf or the s grid -1:0:3.
 _NEGATIVE_VALUE = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argparse parser that joins a negative value to the flag before it
-    (``--alpha -1e308`` is read as ``--alpha=-1e308``) when the flag takes one
-    value. A flag is one of the parser's own or, as argparse reads it, a prefix
-    of exactly one long one. Each subcommand's parser joins its own flags."""
-
-    def __init__(self, *args, **kwargs):
-        self.value_flags, self.other_flags = set(), set()  # option strings taking one value, or not
-        super().__init__(*args, **kwargs)
-
-    def add_argument(self, *args, **kwargs):
-        action = super().add_argument(*args, **kwargs)
-        flags = self.value_flags if action.nargs is None else self.other_flags
-        flags.update(action.option_strings)
-        return action
-
-    def _reads_a_value(self, flag: str) -> bool:
-        """Whether argparse reads ``flag`` as an option that takes one value."""
-        flags = self.value_flags | self.other_flags
-        if flag not in flags and self.allow_abbrev and flag.startswith("--"):
-            matches = [option for option in flags if option.startswith(flag)]
-            flag = matches[0] if len(matches) == 1 else None
-        return flag in self.value_flags
-
-    def parse_known_args(self, args=None, namespace=None):
-        joined = []
-        for token in sys.argv[1:] if args is None else args:
-            if (joined and _NEGATIVE_VALUE.match(token) and "--" not in joined
-                    and self._reads_a_value(joined[-1])):
-                joined[-1] += "=" + token
-            else:
-                joined.append(token)
-        return super().parse_known_args(joined, namespace)
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="patterned",
         description="Digit-divisor numbers: sequences, curves, DAGs, dynamics.",
     )
@@ -526,6 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, help_text, *specs):
         p = sub.add_parser(name, help=help_text)
+        p._negative_number_matcher = _NEGATIVE_VALUE
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--out", help="output path (default: stdout)")
         for spec in specs:

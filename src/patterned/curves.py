@@ -490,6 +490,9 @@ def tessellate(curve: LatticeCurve, placements: Iterable[RigidMotion]) -> Tessel
     motions = list(placements)
     if not motions:
         raise ValueError("tessellate needs at least one placement")
+    for i, motion in enumerate(motions):
+        if not isinstance(motion, RigidMotion):
+            raise ValueError(f"placements[{i}] must be a RigidMotion, got {type(motion).__name__}")
     count = len(motions)
     segments = count * max(curve.segment_count, 1)
     if segments > DEFAULT_EDGE_CAP:

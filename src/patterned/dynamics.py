@@ -19,7 +19,7 @@ comes from LAPACK through :func:`tridiag.eigh_tridiagonal`.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -314,6 +314,14 @@ def patterned_chain(
     return OscillatorChain(omegas=tuple(omegas), g_L=g_L, g_R=g_R, turns=tuple(turns[:-1]), s=s)
 
 
+def _hamiltonian_at(chain: OscillatorChain):
+    """H(s) of the chain for any s, from bands built once (the chain's s unused)."""
+    omegas = np.asarray(chain.omegas, dtype=float)
+    g = {TURN_LEFT: chain.g_L, TURN_RIGHT: chain.g_R}
+    couplings = np.array([g[t] for t in chain.turns], dtype=float)
+    return lambda s: SymTridiag(diag=(1.0 - s) * omegas, offdiag=s * couplings)
+
+
 def build_single_excitation_hamiltonian(chain: OscillatorChain) -> SymTridiag:
     """H(s) = (1-s) H0 + s H_int restricted to the one-excitation sector.
 
@@ -321,10 +329,7 @@ def build_single_excitation_hamiltonian(chain: OscillatorChain) -> SymTridiag:
     tridiagonal matrix with diagonal (1-s)*omega_n and off-diagonal
     s*g(turn_n) between sites n and n+1.
     """
-    diag = (1.0 - chain.s) * np.asarray(chain.omegas, dtype=float)
-    g = {TURN_LEFT: chain.g_L, TURN_RIGHT: chain.g_R}
-    offdiag = chain.s * np.array([g[t] for t in chain.turns], dtype=float)
-    return SymTridiag(diag=diag, offdiag=offdiag)
+    return _hamiltonian_at(chain)(chain.s)
 
 
 @dataclass(frozen=True)
@@ -369,21 +374,26 @@ class SweepPoint:
 
 
 def adiabatic_sweep(chain: OscillatorChain, s_grid: Sequence[float]) -> List[SweepPoint]:
-    """Spectra of H(s) over a grid of s values (the chain's own s is ignored)."""
+    """Spectra of H(s) over a grid of s values (the chain's own s is ignored).
+
+    Every s is checked before the first eigensolve; the bands are built once.
+    """
     if chain.n_sites < 2:
         raise ValueError(f"sites must be >= 2 for a spectral gap, got {chain.n_sites}")
-    points = []
-    for s in s_grid:
+    grid = list(s_grid)
+    for s in grid:
         if not 0.0 <= s <= 1.0:
             raise ValueError(f"s grid values must lie in [0, 1], got {s}")
-        matrix = build_single_excitation_hamiltonian(replace(chain, s=float(s)))
+    hamiltonian = _hamiltonian_at(chain)
+    points = []
+    for s in map(float, grid):
         try:
-            spectrum = eigensystem(matrix)
+            spectrum = eigensystem(hamiltonian(s))
         except ConvergenceError as exc:
             raise ConvergenceError(f"eigensolve failed at s={s}: {exc}") from exc
         points.append(
             SweepPoint(
-                s=float(s),
+                s=s,
                 ground_energy=float(spectrum.eigenvalues[0]),
                 spectral_gap=float(spectrum.eigenvalues[1] - spectrum.eigenvalues[0]),
                 ground_participation_ratio=float(spectrum.participation_ratios[0]),

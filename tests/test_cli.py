@@ -1,7 +1,10 @@
 """Command-line surface tests: formats, exit codes, config handling, goldens."""
 
+import argparse
 import json
+import os
 import re
+import stat
 from pathlib import Path
 
 import pytest
@@ -792,6 +795,49 @@ class TestExitCodes:
         assert (code, out) == (2, "") and err.startswith("usage: patterned ")
         assert err.endswith(f": error: {error}\n")
 
+    @staticmethod
+    def flags(parser, takes_a_value):
+        """(command, flag, action) of every option of every subcommand that takes
+        one value, or of every one that takes none other than --help."""
+        commands, = (a.choices for a in parser._actions
+                     if isinstance(a, argparse._SubParsersAction))
+        return [(name, flag, action)
+                for name, sub in commands.items() for action in sub._actions
+                if (action.nargs is None) == takes_a_value
+                and not isinstance(action, argparse._HelpAction)
+                for flag in action.option_strings]
+
+    @pytest.mark.parametrize("value", ["-1e308", "-inf"])
+    def test_every_flag_taking_a_value_reads_a_negative_one(self, capsys, monkeypatch, value):
+        # types and choices are dropped, so the command gets the token as parsed
+        real = cli.build_parser
+
+        def untyped():
+            parser = real()
+            for _, _, action in self.flags(parser, True):
+                action.type = action.choices = None
+            return parser
+
+        got = []
+        monkeypatch.setattr(cli, "build_parser", untyped)
+        monkeypatch.setattr(cli, "_resolve_config", lambda args: args)
+        for name in cli._COMMANDS:
+            monkeypatch.setitem(cli._COMMANDS, name, lambda args: got.append(args) or 0)
+        flags = self.flags(real(), True)
+        assert len(flags) == 78
+        for name, flag, action in flags:
+            got.clear()
+            assert run(capsys, name, flag, value) == (0, "", "")
+            assert getattr(got[0], action.dest) == value and got[0].command == name
+
+    def test_no_flag_taking_no_value_reads_a_negative_one(self, capsys):
+        flags = self.flags(cli.build_parser(), False)
+        assert len(flags) == 6
+        for name, flag, _ in flags:
+            code, out, err = run(capsys, name, flag, "-1e5")
+            assert (code, out) == (2, "")
+            assert err.endswith(": error: unrecognized arguments: -1e5\n")
+
     def test_argparse_rejects_unknown_flag(self, capsys):
         assert cli_dispatch(["gen", "--frobnicate"]) == 2
         capsys.readouterr()
@@ -855,6 +901,39 @@ class TestAtomicOut:
         assert run(capsys, "turns", "--k", "3", "--out", str(out_file))[0] == 0
         assert out_file.read_text() == "index,n,turn\n1,1,L\n2,2,L\n3,3,L\n"
         assert list(tmp_path.iterdir()) == [out_file]
+
+    def test_symlink_is_kept_and_its_target_written(self, capsys, monkeypatch, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("earlier\n")
+        link.symlink_to(target.name)
+        expected = run(capsys, "turns", "--k", "10")[1]
+        assert run(capsys, "turns", "--k", "10", "--out", str(link)) == (0, "", "")
+        assert link.is_symlink() and os.readlink(link) == target.name
+        assert target.read_text() == expected
+        monkeypatch.setattr(serialize, "write_csv", self.fail_after_header)
+        code, out, err = run(capsys, "turns", "--k", "20", "--out", str(link))
+        assert (code, out, err) == (2, "", "error: [Errno 28] No space left on device\n")
+        assert link.is_symlink() and target.read_text() == expected
+        assert sorted(tmp_path.iterdir()) == [link, target]
+
+    def test_error_names_the_path_given_not_its_target(self, capsys, tmp_path):
+        link = tmp_path / "link.csv"
+        link.symlink_to(tmp_path / "missing" / "x.csv")
+        code, out, err = run(capsys, "turns", "--k", "3", "--out", str(link))
+        assert (code, out) == (2, "")
+        assert err == f"error: [Errno 2] No such file or directory: {str(link)!r}\n"
+
+    def test_fifo_is_written_not_replaced(self, capsys, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # so opening to write does not block
+        try:
+            assert run(capsys, "turns", "--k", "3", "--out", str(fifo)) == (0, "", "")
+            assert os.read(reader, 1 << 16) == b"index,n,turn\n1,1,L\n2,2,L\n3,3,L\n"
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert list(tmp_path.iterdir()) == [fifo]
 
 
 def _no_work(*args, **kwargs):

@@ -934,3 +934,16 @@ class TestTessellate:
         motions = [RigidMotion(), RigidMotion(translation=(2**62, 0))]
         with pytest.raises(ValueError, match=r"placements\[1\]: coordinates must be within"):
             tessellate(trace("LLR"), motions)
+
+    @pytest.mark.parametrize("placement, kind", [({"rotation": 90}, "dict"),
+                                                 ((90, False, (0, 0)), "tuple"),
+                                                 (None, "NoneType")])
+    def test_placement_that_is_not_a_motion_is_named_before_any_tile(self, monkeypatch,
+                                                                     placement, kind):
+        def no_tile(*args):
+            raise AssertionError("a tile was built before the placements were checked")
+
+        monkeypatch.setattr(curves, "apply_motion", no_tile)
+        with pytest.raises(ValueError,
+                           match=rf"^placements\[1\] must be a RigidMotion, got {kind}$"):
+            tessellate(trace("L"), [RigidMotion(), placement])

@@ -5,6 +5,7 @@ The coined-walk oracle builds the full 2N x 2N step matrix explicitly
 matrix-vector products against the vectorized implementation.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -470,3 +471,56 @@ class TestSweep:
         chain = patterned_chain(1, g_L=1.0, g_R=1.0)
         with pytest.raises(ValueError):
             adiabatic_sweep(chain, [0.5])
+
+    def test_every_s_checked_before_any_eigensolve(self, monkeypatch):
+        def no_solve(matrix):
+            raise AssertionError("an eigensolve ran before the grid was checked")
+
+        monkeypatch.setattr(dynamics, "eigh_tridiagonal", no_solve)
+        chain = patterned_chain(4, g_L=1.0, g_R=1.0)
+        for grid, shown in (([0.0, 1.2], "1.2"), ([0.5, 0.25, math.nan], "nan")):
+            with pytest.raises(ValueError, match=rf"^s grid values must lie in \[0, 1\], "
+                                                 rf"got {shown}$"):
+                adiabatic_sweep(chain, grid)
+
+    def test_points_equal_the_hamiltonian_at_each_s_bit_for_bit(self):
+        rng = np.random.default_rng(20)
+        chains = [patterned_chain(2, g_L=1.0, g_R=0.5),
+                  patterned_chain(40, g_L=-0.3, g_R=2.5, alpha=0.7, beta=1.9),
+                  patterned_chain(17, g_L=0.0, g_R=1e-3, omega_mode="constant", omega=3.0)]
+        for n in rng.integers(2, 60, size=6):
+            chains.append(OscillatorChain(
+                omegas=tuple(rng.uniform(0.1, 5.0, size=n)), g_L=float(rng.normal()),
+                g_R=float(rng.normal()), turns=tuple(rng.choice(["L", "R"], size=n - 1)),
+                s=float(rng.random())))
+        for chain in chains:
+            grid = [0.0, 1.0, 0.5, *rng.random(5).tolist()]
+            for point, s in zip(adiabatic_sweep(chain, grid), grid, strict=True):
+                spectrum = eigensystem(
+                    build_single_excitation_hamiltonian(dataclasses.replace(chain, s=s)))
+                values, ratios = spectrum.eigenvalues, spectrum.participation_ratios
+                expected = (s, values[0], values[1] - values[0], ratios[0])
+                assert [float(v).hex() for v in dataclasses.astuple(point)] == [
+                    float(v).hex() for v in expected]
+
+    def test_builds_no_chain_or_hamiltonian_per_point(self, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("a chain or Hamiltonian was built for a point")
+
+        chain = patterned_chain(5, g_L=1.0, g_R=0.5)
+        monkeypatch.setattr(dynamics, "build_single_excitation_hamiltonian", no_build)
+        monkeypatch.setattr(OscillatorChain, "__post_init__", no_build)
+        assert [p.s for p in adiabatic_sweep(chain, [0.0, 0.5, 1.0])] == [0.0, 0.5, 1.0]
+
+    def test_every_point_checks_its_eigenvector_norms(self, monkeypatch):
+        solves = []
+
+        def off_norm_at_second_solve(matrix):
+            values, vectors = eigh_tridiagonal(matrix)
+            solves.append(matrix.n)
+            return values, vectors * (1.0 if len(solves) == 1 else 1.01)
+
+        monkeypatch.setattr(dynamics, "eigh_tridiagonal", off_norm_at_second_solve)
+        with pytest.raises(ValueError, match="vector norm"):
+            adiabatic_sweep(patterned_chain(5, g_L=1.0, g_R=0.5), [0.0, 0.5, 1.0])
+        assert len(solves) == 2
