@@ -166,21 +166,17 @@ def _format(cfg: RunConfig, default: str) -> str:
     return fmt
 
 
-def _parse_word(word: str) -> List[str]:
-    letters = list(word.upper())
-    bad = set(letters) - {core.TURN_LEFT, core.TURN_RIGHT}
-    if bad or not letters:
-        raise ValueError(f"word must be a non-empty string over L/R, got {word!r}")
-    return letters
-
-
-def _seed_turns(cfg: RunConfig) -> List[str]:
+def _seed_turns(cfg: RunConfig):
+    """The seed turn word: --word as upper-case text, or the first k members' parity."""
     if cfg.word is not None:
         if len(cfg.word) > curves.DEFAULT_EDGE_CAP:
             raise ResourceLimitError(f"word must be <= {curves.DEFAULT_EDGE_CAP} letters, "
                                      f"got {len(cfg.word)}")
-        return _parse_word(cfg.word)
-    return core.turn_sequence(_require(cfg, "k", curves.DEFAULT_EDGE_CAP))
+        letters = cfg.word.upper()
+        if not letters or letters.strip(core.TURN_LEFT + core.TURN_RIGHT):
+            raise ValueError(f"word must be a non-empty string over L/R, got {cfg.word!r}")
+        return letters
+    return core.scan_members(k=_require(cfg, "k", curves.DEFAULT_EDGE_CAP)).turns
 
 
 def _parse_motions(value) -> List[curves.RigidMotion]:
@@ -320,7 +316,7 @@ def _cmd_primes(cfg: RunConfig) -> int:
 def _cmd_turns(cfg: RunConfig) -> int:
     k = _require(cfg, "k", MAX_MEMBERS)
     members = core.scan_members(k=k)
-    numbers, turns = members.numbers.tolist(), core.turn_labels(members.matches)
+    numbers, turns = members.numbers.tolist(), core.turn_labels(members.turns)
     fmt = _format(cfg, "csv")
     with _out_stream(cfg.out) as stream:
         if fmt == "csv":
@@ -330,10 +326,6 @@ def _cmd_turns(cfg: RunConfig) -> int:
             payload = {"k": k, "numbers": numbers, "turns": turns}
             serialize.write_json(stream, payload)
     return 0
-
-
-def _curve_stats_payload(curve: curves.LatticeCurve) -> dict:
-    return dataclasses.asdict(curves.curve_stats(curve))
 
 
 def _emit_svg(cfg: RunConfig, svg: str, stats: dict) -> None:
@@ -347,7 +339,8 @@ def _emit_svg(cfg: RunConfig, svg: str, stats: dict) -> None:
 
 def _cmd_curve(cfg: RunConfig) -> int:
     curve = curves.trace(_seed_turns(cfg))
-    _emit_svg(cfg, serialize.curve_svg(curve, unit=cfg.unit), _curve_stats_payload(curve))
+    svg = serialize.curve_svg(curve, unit=cfg.unit)
+    _emit_svg(cfg, svg, dataclasses.asdict(curves.curve_stats(curve)))
     return 0
 
 
@@ -382,7 +375,7 @@ def _cmd_dragon(cfg: RunConfig) -> int:
     _require(cfg, "max_edges", curves.DEFAULT_EDGE_CAP)
     seed = curves.trace(_seed_turns(cfg))
     grown = curves.iterate_dragon(seed, cfg.generations, max_edges=cfg.max_edges)
-    stats = _curve_stats_payload(grown)
+    stats = dataclasses.asdict(curves.curve_stats(grown))
     stats["generations"] = cfg.generations
     stats["seed_segments"] = seed.segment_count
     _emit_svg(cfg, serialize.curve_svg(grown, unit=cfg.unit), stats)

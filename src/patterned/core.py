@@ -6,6 +6,9 @@ ordered sequence of qualifying numbers, their counting density, a closed-form
 prime characterization, the L/R turn operator driven by the parity of the
 digit-divisor matches, and the site energies along the sequence.
 
+A turn word travels as one read-only uint8 array, the match-count parity with
+1 for L; only :func:`turn_parity` and :func:`turn_labels` map labels to it and back.
+
 Every caller classifies through one numpy block classifier,
 :func:`classify_block`, and counts come from a digit DP,
 :func:`count_patterned`, that is checked against it. No command calls the
@@ -16,8 +19,9 @@ closed forms :func:`is_patterned_two_digit` and :func:`is_patterned_prime`
 """
 
 from dataclasses import dataclass
+from itertools import repeat
 from math import gcd, isqrt
-from typing import Iterator, List, NamedTuple, Optional, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -62,6 +66,13 @@ class Members(NamedTuple):
     numbers: np.ndarray
     matches: np.ndarray
 
+    @property
+    def turns(self) -> np.ndarray:
+        """The turn word: each member's match-count parity, 1 for L, read-only."""
+        parity = _PARITY[self.matches]
+        parity.flags.writeable = False
+        return parity
+
 
 def _check_positive(n: int, name: str = "n") -> None:
     if not isinstance(n, int) or isinstance(n, bool):
@@ -88,8 +99,10 @@ for _r in range(1, 1000):
 _DIVISOR_MASKS = np.array(_DIVISORS, dtype=np.uint16)
 _CHUNK_MASKS = np.array(_CHUNK_DIGITS, dtype=np.uint16)
 _POPCOUNT = np.array([bin(m).count("1") for m in range(1024)], dtype=np.uint16)
+_PARITY = (_POPCOUNT & 1).astype(np.uint8)
 TURN_OF_PARITY = (TURN_RIGHT, TURN_LEFT)  # indexed by match-count parity
-_TURN_LABELS = np.array([TURN_OF_PARITY[c & 1] for c in _POPCOUNT.tolist()], dtype=object)
+_PARITY_OF_LABEL = {label: parity for parity, label in enumerate(TURN_OF_PARITY)}
+_LABEL_BYTES = np.frombuffer("".join(TURN_OF_PARITY).encode(), np.uint8)  # by parity
 del _DIVISORS, _CHUNK_DIGITS, _d, _r
 
 
@@ -335,9 +348,39 @@ def scan_members(limit: Optional[int] = None, k: Optional[int] = None) -> Member
     return Members(np.concatenate(numbers)[:k], np.concatenate(matches)[:k])
 
 
-def turn_labels(matches: np.ndarray) -> List[str]:
-    """The turn label of each match mask: L for an odd number of matches, else R."""
-    return _TURN_LABELS[matches].tolist()
+def turn_parity(turns: Iterable[str]) -> np.ndarray:
+    """The parity of a turn word given as labels, "L" and "R" in any iterable: the one
+    way labels enter. A parity array as this module makes them passes as it is: 1-D
+    uint8 0s and 1s, read-only, and owning its memory or a view of a read-only owner."""
+    if isinstance(turns, np.ndarray) and turns.ndim == 1 and turns.dtype == np.uint8:
+        owner = turns if turns.base is None else turns.base
+        if (isinstance(owner, np.ndarray) and owner.base is None and not owner.flags.writeable
+                and not turns.flags.writeable and not (turns.size and turns.max() > 1)):
+            return turns
+    labels = tuple(turns)
+    parity = np.fromiter(map(_PARITY_OF_LABEL.get, labels, repeat(2)), np.uint8, len(labels))
+    if len(labels) and parity.max() > 1:  # 2 marks a label that is neither; argmax the first
+        raise ValueError(f"turn label must be 'L' or 'R', got {labels[parity.argmax()]!r}")
+    parity.flags.writeable = False
+    return parity
+
+
+def turn_labels(parity: np.ndarray) -> List[str]:
+    """The labels of a parity array, by ``TURN_OF_PARITY``: the one way labels leave."""
+    return list(_LABEL_BYTES[parity].tobytes().decode())
+
+
+class TurnWordField:
+    """A dataclass field read as a tuple of labels: what is set is kept in the owner's
+    ``parity`` as given, for the owner's check to pass it through :func:`turn_parity`."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:  # a dataclass asking for a default: there is none
+            raise AttributeError("a turn word has no default")
+        return tuple(turn_labels(instance.parity))
+
+    def __set__(self, instance, turns):
+        vars(instance)["parity"] = turns
 
 
 def patterned_sequence(limit: int) -> list:
@@ -347,7 +390,7 @@ def patterned_sequence(limit: int) -> list:
 
 def turn_sequence(k: int) -> list:
     """Turn labels of the first k qualifying numbers."""
-    return turn_labels(scan_members(k=k).matches)
+    return turn_labels(scan_members(k=k).turns)
 
 
 def count_and_density(limit: int) -> DensityReport:
@@ -383,10 +426,9 @@ def site_energies(
     for name, value in (("alpha", alpha), ("beta", beta)):
         if not (value == value and abs(value) != float("inf")):
             raise ValueError(f"{name} must be finite, got {value}")
-    counts = _POPCOUNT[members.matches]
-    parity = counts & 1
+    counts, parity = _POPCOUNT[members.matches], members.turns
     # the parity of the turn before each member; 2, matching none, for the first
     before = np.concatenate(([2], parity[:-1]))
     with np.errstate(over="ignore"):  # as in float arithmetic, a sum past the range is inf
         energies = float(alpha) * counts + float(beta) * (parity == before)
-    return energies.tolist(), turn_labels(members.matches)
+    return energies.tolist(), turn_labels(parity)

@@ -2,7 +2,7 @@
 
 A turn word is traced as a turtle path on the integer grid: advance one unit,
 then rotate the heading 90 degrees left or right. A curve is one read-only
-int64 array of its vertices, built and checked by array operations. The module
+int64 array of its vertices and its turn word as ``core``'s parity. The module
 also provides planar statistics, the seahorse classification, rigid motions of
 the lattice, the curve-doubling iteration, and tessellations built from
 rigid-motion copies. No command calls its oracles: the checked constructor
@@ -14,12 +14,12 @@ rigid-motion copies. No command calls its oracles: the checked constructor
 import operator
 from collections import deque
 from dataclasses import dataclass
-from itertools import product, repeat
+from itertools import product
 from typing import Iterable, List, Tuple
 
 import numpy as np
 
-from .core import TURN_LEFT, TURN_RIGHT
+from .core import TurnWordField, turn_parity
 from .errors import ResourceLimitError
 
 Point = Tuple[int, int]
@@ -30,8 +30,7 @@ _STEP_ARRAY = np.array(_STEPS, dtype=np.int64)
 # at [dx + 2, dy + 2] of a step clipped to -2..2: its heading, or -1 if not a unit step
 _HEADING_OF_STEP = np.full((5, 5), -1)
 _HEADING_OF_STEP[_STEP_ARRAY[:, 0] + 2, _STEP_ARRAY[:, 1] + 2] = range(4)
-_TURN = {TURN_LEFT: 1, TURN_RIGHT: 3}  # added to the heading index, mod 4
-_MIRROR = str.maketrans(TURN_LEFT + TURN_RIGHT, TURN_RIGHT + TURN_LEFT)
+_NO_TURNS = turn_parity("")  # the turn word of a curve built from its geometry
 
 # Cap on curve size for the doubling iteration (design default, overridable)
 # and on the segments of a tessellation, all tiles together.
@@ -46,23 +45,15 @@ def _step_headings(path: np.ndarray) -> np.ndarray:
     return _HEADING_OF_STEP[steps[:, 0], steps[:, 1]]
 
 
-def _turn_codes(turns: Tuple[str, ...]) -> np.ndarray:
-    """The heading change of each turn label; a label other than L and R raises."""
-    codes = np.fromiter(map(_TURN.get, turns, repeat(0)), np.int64, len(turns))
-    if not codes.all():
-        raise ValueError(f"turn label must be 'L' or 'R', got {turns[np.argmin(codes)]!r}")
-    return codes
-
-
-def _hold(curve, path: np.ndarray, turns: Tuple[str, ...], final_heading: str):
-    """Bound ``path``, make it read-only and store it, not a copy, on ``curve``. Builders'
-    int64 arithmetic is exact modulo 2**64, so a wrapped value lands within +-2**62 only from a
-    true one >= 3 * 2**62, far past a point within +-2**62 plus such a shift or n unit steps."""
+def _hold(curve, path: np.ndarray, parity: np.ndarray, final_heading: str):
+    """Bound ``path``, make it and ``parity`` read-only and store them, not copies, on ``curve``.
+    Builders' int64 arithmetic is exact modulo 2**64, so a wrapped value lands within +-2**62 only
+    from a true one >= 3 * 2**62, far past a point within +-2**62 plus a shift or n unit steps."""
     lo, hi = path.min(), path.max()
     if not -COORD_BOUND <= lo <= hi <= COORD_BOUND:
         raise ValueError(f"coordinates must be within +-2**62, got {lo}..{hi}")
-    path.flags.writeable = False
-    vars(curve).update(path=path, source_turns=turns, final_heading=final_heading)
+    path.flags.writeable = parity.flags.writeable = False
+    vars(curve).update(path=path, parity=parity, final_heading=final_heading)
     return curve
 
 
@@ -71,17 +62,18 @@ class LatticeCurve:
     """Ordered unit-step path on the integer grid.
 
     ``path`` is the curve: its n + 1 vertices as one read-only ``(n + 1, 2)``
-    int64 array. ``final_heading`` is the exit heading after the last turn,
-    kept so curves can be iterated or composed. ``source_turns`` is empty for
-    geometrically built curves. A curve is checked once, where its input enters:
-    ``LatticeCurve(...)`` checks all three and keeps its own copy of ``path``;
-    builders check their arguments and keep the array they built. ``vertices``,
-    ``headings``, ``start``, ``end`` and ``edge_set()`` are views derived from it
-    on each read. Two curves are equal when their paths, turns and exits are.
+    int64 array. ``final_heading`` is the exit heading after the last turn. The
+    turn word, given as labels or ``core``'s parity, is held as the read-only uint8
+    ``parity`` (1 for L, empty for geometrically built curves). A curve is checked
+    once, where its input enters: ``LatticeCurve(...)`` checks all three and keeps
+    its own copy of ``path``; builders check their arguments and keep the arrays
+    they built. ``source_turns`` (the labels), ``vertices``, ``headings``, ``start``,
+    ``end`` and ``edge_set()`` are views derived on each read. Two curves are equal
+    when their paths, turns and exits are.
     """
 
     path: np.ndarray
-    source_turns: Tuple[str, ...]
+    source_turns: Tuple[str, ...] = TurnWordField()
     final_heading: str
 
     def __post_init__(self):
@@ -90,24 +82,24 @@ class LatticeCurve:
             raise ValueError("a curve needs at least one vertex")
         if path.dtype != np.int64 or path.shape[1:] != (2,):
             raise ValueError(f"path must be (n + 1, 2) int64, got {path.shape} {path.dtype}")
-        _hold(self, path, self.source_turns, self.final_heading)  # bounded before its steps
+        turns = self.parity  # as given; held once checked, below
+        _hold(self, path, _NO_TURNS, self.final_heading)  # bounded before its steps
         if self.final_heading not in HEADINGS:
             raise ValueError(f"bad final heading {self.final_heading!r}")
         steps = _step_headings(path)
         if (steps < 0).any():
             (ax, ay), (bx, by) = path[np.argmin(steps):][:2].tolist()
             raise ValueError(f"non-unit step ({ax},{ay})->({bx},{by})")
-        turns = self.source_turns
-        if turns:
-            if len(turns) != len(steps):
-                raise ValueError("turn/segment count mismatch")
-            exits = np.concatenate((steps[1:], [HEADINGS.index(self.final_heading)]))
-            if ((exits - steps) % 4 != _turn_codes(turns)).any():
-                raise ValueError("heading transition inconsistent with turn word")
+        if len(turns) and len(turns) != len(steps):
+            raise ValueError("turn/segment count mismatch")
+        parity = vars(self)["parity"] = turn_parity(turns)
+        exits = np.concatenate((steps[1:], [HEADINGS.index(self.final_heading)]))
+        if len(parity) and ((exits - steps) % 4 != 3 - 2 * parity).any():  # +1 for L, +3 for R
+            raise ValueError("heading transition inconsistent with turn word")
 
     def __eq__(self, other):
         return isinstance(other, LatticeCurve) and np.array_equal(self.path, other.path) and (
-            self.source_turns, self.final_heading) == (other.source_turns, other.final_heading)
+            np.array_equal(self.parity, other.parity) and self.final_heading == other.final_heading)
 
     @property
     def vertices(self) -> Tuple[Point, ...]:
@@ -163,17 +155,18 @@ def _norm_edge(a: Point, b: Point) -> Tuple[Point, Point]:
 
 
 def trace(turns: Iterable[str]) -> LatticeCurve:
-    """Trace a turn word from (0, 0), heading E: per label, move one unit
-    forward, then rotate. Any other start and heading is a rigid motion away
-    (``apply_motion``).
+    """Trace a turn word, given as labels or as ``core``'s parity, from (0, 0),
+    heading E: per turn, move one unit forward, then rotate. Any other start
+    and heading is a rigid motion away (``apply_motion``).
 
-    k labels produce k segments and k+1 vertices. The last rotation only
+    k turns produce k segments and k+1 vertices. The last rotation only
     sets the exit heading stored on the curve.
     """
-    word = tuple(turns)
-    h = np.concatenate(([0], _turn_codes(word))).cumsum() % 4  # each step's heading, then the exit
+    parity = turn_parity(turns)
+    # each step's heading, then the exit: +1 per L, +3 per R, in uint8 sums, which wrap at 256
+    h = np.concatenate(([0], np.cumsum(3 - 2 * parity, dtype=np.uint8))) & 3
     path = np.concatenate(([(0, 0)], _STEP_ARRAY[h[:-1]])).cumsum(axis=0)
-    return _hold(object.__new__(LatticeCurve), path, word, HEADINGS[h[-1]])
+    return _hold(object.__new__(LatticeCurve), path, parity, HEADINGS[h[-1]])
 
 
 def _last_step_heading(path: np.ndarray) -> str:
@@ -202,12 +195,13 @@ def curve_from_vertices(vertices: Iterable[Point]) -> LatticeCurve:
     if flat and not -COORD_BOUND <= min(flat) <= max(flat) <= COORD_BOUND:
         raise ValueError(f"coordinates must be within +-2**62, got {min(flat)}..{max(flat)}")
     path = np.array(coords, dtype=np.int64).reshape(-1, 2)
-    return LatticeCurve(path, (), _last_step_heading(path))
+    return LatticeCurve(path, _NO_TURNS, _last_step_heading(path))
 
 
-def max_run_length(labels: Iterable[str]) -> int:
-    """Length of the longest run of equal adjacent labels; 0 for no labels."""
-    word = np.fromiter(labels, object)
+def max_run_length(turns) -> int:
+    """Length of the longest run of equal adjacent turns, labels or a parity
+    array; 0 for none."""
+    word = turns if isinstance(turns, np.ndarray) else np.fromiter(turns, object)
     ends = np.flatnonzero(word[1:] != word[:-1])  # the last index of every run but the last
     return int(np.diff(ends, prepend=-1, append=len(word) - 1).max())
 
@@ -341,7 +335,7 @@ def curve_stats(curve: LatticeCurve) -> CurveStats:
         revisited_vertex_count=revisits,
         bounded_region_count=edges - (len(keys) - len(repeats)) + 1,
         bounding_box=tuple(map(int, box)),
-        max_turn_run=max_run_length(curve.source_turns),
+        max_turn_run=max_run_length(curve.parity),
     )
 
 
@@ -397,12 +391,11 @@ def _moved(path: np.ndarray, matrix: Tuple[int, int, int, int], shift) -> np.nda
 
 def apply_motion(curve: LatticeCurve, motion: RigidMotion) -> LatticeCurve:
     """Transform a curve by a rigid motion; turn chirality flips under reflection."""
-    turns = curve.source_turns
-    turns = tuple("".join(turns).translate(_MIRROR)) if motion.reflect else turns
+    parity = curve.parity ^ 1 if motion.reflect else curve.parity
     dx, dy = motion.apply_vector(_STEPS[HEADINGS.index(curve.final_heading)])
     path = _moved(curve.path, motion.matrix, motion.translation)
     exit_heading = HEADINGS[_HEADING_OF_STEP[dx + 2, dy + 2]]
-    return _hold(object.__new__(LatticeCurve), path, turns, exit_heading)
+    return _hold(object.__new__(LatticeCurve), path, parity, exit_heading)
 
 
 def iterate_dragon(
@@ -429,7 +422,7 @@ def iterate_dragon(
                                      f"segments past the max_edges cap of {max_edges}")
         turned = _moved(path, quarter, 0)
         path = np.concatenate((path, turned[1:] + (path[-1] - turned[0])))
-    return _hold(object.__new__(LatticeCurve), path, (), _last_step_heading(path))
+    return _hold(object.__new__(LatticeCurve), path, _NO_TURNS, _last_step_heading(path))
 
 
 @dataclass(frozen=True)
@@ -569,7 +562,7 @@ def is_seahorse(curve: LatticeCurve) -> SeahorseReport:
     3. Some lattice reflection maps the edge set onto itself while sending
        the start vertex to the end vertex (head-tail symmetry).
     """
-    if not curve.source_turns:
+    if not len(curve.parity):
         raise ValueError("seahorse classification needs a curve traced from a turn word")
     stats = curve_stats(curve)
     return SeahorseReport(

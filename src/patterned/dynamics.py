@@ -4,7 +4,7 @@ Two walks are provided. The literal turn-operator walk is deterministic: it
 rewrites (node, coin) to (next node, turn label), ignoring the incoming coin,
 and its geometric trajectory must reproduce the traced curve. The coined walk
 is a proper unitary: a per-site coin rotation whose angle is selected by the
-site's turn label, followed by a coin-conditioned shift with reflecting ends.
+site's turn parity, followed by a coin-conditioned shift with reflecting ends.
 Both walk entries check their input once. Real coins on a real start keep
 every amplitude real, so ``run_walk`` steps two float64 arrays in place, with
 the products and sums of the complex kernel of ``unitary_walk_step`` in the
@@ -27,15 +27,20 @@ import numpy as np
 from .core import (
     TURN_LEFT,
     TURN_RIGHT,
+    TurnWordField,
     scan_members,
     site_energies,
-    turn_labels,
+    turn_parity,
     turn_sequence,
 )
 from .errors import ConvergenceError, InvariantError, ResourceLimitError
 from .tridiag import SymTridiag, eigh_tridiagonal
 
 NORM_TOL = 1e-8
+
+# Bound on the Gershgorin radius max(max omega, 2 max |g|), which holds every eigenvalue of
+# H(s), s in [0, 1] (Golub & Van Loan, 7.2.1): with it, LAPACK's scaled squares stay finite.
+SPECTRUM_BOUND = 2.0**500
 
 # Largest walk: (steps + 1) x sites probabilities, 1 GB like MAX_DENSE_SITES.
 MAX_WALK_CELLS = 125_000_000
@@ -118,11 +123,11 @@ def deterministic_walk(k: int) -> DeterministicWalk:
     vertices = [(0, 0)]
     headings: List[str] = []
     turns = turn_sequence(k)
-    for coin in turns:
+    for left in turn_parity(turns).tolist():
         headings.append(_HEADING_OF_UNIT[(int(heading.real), int(heading.imag))])
         position += heading
         vertices.append((int(position.real), int(position.imag)))
-        heading *= 1j if coin == TURN_LEFT else -1j
+        heading *= 1j if left else -1j
     return DeterministicWalk(vertices=tuple(vertices), headings=tuple(headings), turns=tuple(turns))
 
 
@@ -130,27 +135,14 @@ def deterministic_walk(k: int) -> DeterministicWalk:
 # coined unitary walk
 # ---------------------------------------------------------------------------
 
-def _coin_cos_sin(coins: CoinSpec, turns: Sequence[str]) -> Tuple[np.ndarray, np.ndarray]:
-    theta = np.array([coins.theta_L if t == TURN_LEFT else coins.theta_R for t in turns])
+def _coin_cos_sin(coins: CoinSpec, parity: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    theta = np.where(parity, coins.theta_L, coins.theta_R)
     return np.cos(theta), np.sin(theta)
 
 
-def _step_amplitudes(amp, cos_t, sin_t, reflecting: bool) -> np.ndarray:
-    a_l, a_r = amp[:, 0], amp[:, 1]
-    rot_l = cos_t * a_l - sin_t * a_r
-    rot_r = sin_t * a_l + cos_t * a_r
-    out = np.zeros_like(amp)
-    out[:-1, 0] = rot_l[1:]
-    out[1:, 1] = rot_r[:-1]
-    if reflecting:
-        out[0, 1] += rot_l[0]
-        out[-1, 0] += rot_r[-1]
-    return out
-
-
 def _step_real(a_l, a_r, cos_t, sin_t, reflecting: bool, rot_l, rot_r) -> None:
-    """``_step_amplitudes`` on real amplitudes, in place: the same products and
-    sums in the same order, into the work arrays rot_l and rot_r."""
+    """The step of ``unitary_walk_step`` on real amplitudes, in place: the same products
+    and sums in the same order, into the work arrays rot_l and rot_r."""
     np.multiply(cos_t, a_l, out=rot_l)
     np.multiply(sin_t, a_r, out=rot_r)
     rot_l -= rot_r  # cos_t * a_l - sin_t * a_r
@@ -183,8 +175,16 @@ def unitary_walk_step(
         raise ValueError(f"need one turn label per position ({n}), got {len(turns)}")
     if boundary == BOUNDARY_REFLECTING and not abs(state.norm() - 1.0) <= NORM_TOL:
         raise ValueError(f"state norm {state.norm():.3e} is not 1 within {NORM_TOL:.0e}")
-    cos_t, sin_t = _coin_cos_sin(coins, turns)
-    out = _step_amplitudes(state.amplitudes, cos_t, sin_t, boundary == BOUNDARY_REFLECTING)
+    cos_t, sin_t = _coin_cos_sin(coins, turn_parity(turns))
+    a_l, a_r = state.amplitudes[:, 0], state.amplitudes[:, 1]
+    rot_l = cos_t * a_l - sin_t * a_r
+    rot_r = sin_t * a_l + cos_t * a_r
+    out = np.zeros_like(state.amplitudes)
+    out[:-1, 0] = rot_l[1:]
+    out[1:, 1] = rot_r[:-1]
+    if boundary == BOUNDARY_REFLECTING:
+        out[0, 1] += rot_l[0]
+        out[-1, 0] += rot_r[-1]
     return WalkState(amplitudes=out, step_count=state.step_count + 1)
 
 
@@ -221,8 +221,7 @@ def run_walk(
         raise ValueError(f"initial_site must be in 1..{n_positions}, got {initial_site}")
     if initial_coin not in (TURN_LEFT, TURN_RIGHT):
         raise ValueError(f"initial_coin must be 'L' or 'R', got {initial_coin!r}")
-    turns = turn_sequence(n_positions)
-    cos_t, sin_t = _coin_cos_sin(coins, turns)
+    cos_t, sin_t = _coin_cos_sin(coins, scan_members(k=n_positions).turns)
     reflecting = boundary == BOUNDARY_REFLECTING
     a_l, a_r, rot_l, rot_r = np.zeros((4, n_positions))
     (a_l if initial_coin == TURN_LEFT else a_r)[initial_site - 1] = 1.0
@@ -246,12 +245,13 @@ def run_walk(
 
 @dataclass(frozen=True)
 class OscillatorChain:
-    """Chain parameters: site frequencies, turn-selected couplings, mix s."""
+    """Chain parameters: site frequencies, turn-selected couplings, mix s. ``turns``
+    (labels or ``core``'s parity, one per adjacent pair) is held as ``parity``."""
 
     omegas: Tuple[float, ...]
     g_L: float
     g_R: float
-    turns: Tuple[str, ...]  # one label per adjacent pair
+    turns: Tuple[str, ...] = TurnWordField()
     s: float
 
     def __post_init__(self):
@@ -259,13 +259,16 @@ class OscillatorChain:
             raise ValueError("chain needs at least one site")
         if any(not (w > 0) for w in self.omegas):
             raise ValueError("site frequencies must be positive")
-        if len(self.turns) != len(self.omegas) - 1:
+        turns = self.parity  # as given
+        if len(turns) != len(self.omegas) - 1:
             raise ValueError(
                 f"need one turn per adjacent pair: {len(self.omegas) - 1}, "
-                f"got {len(self.turns)}"
+                f"got {len(turns)}"
             )
-        if any(t not in (TURN_LEFT, TURN_RIGHT) for t in self.turns):
-            raise ValueError("turn labels must be 'L' or 'R'")
+        try:
+            vars(self)["parity"] = turn_parity(turns)
+        except ValueError:
+            raise ValueError("turn labels must be 'L' or 'R'") from None
         if not 0.0 <= self.s <= 1.0:
             raise ValueError(f"s must be in [0, 1], got {self.s}")
 
@@ -292,6 +295,7 @@ def patterned_chain(
 
     Site frequencies default to the site energies (tying the diagonal and
     chain pictures together); ``omega_mode='constant'`` uses a flat omega.
+    A Gershgorin radius past SPECTRUM_BOUND raises, naming what set it.
     """
     if n_sites < 1:
         raise ValueError(f"sites must be >= 1, got {n_sites}")
@@ -304,21 +308,26 @@ def patterned_chain(
         raise ValueError(f"omega must be finite and > 0, got {omega}")
     members = scan_members(k=n_sites)
     if omega_mode == OMEGA_FROM_ENERGY:
-        omegas, turns = site_energies(members, alpha, beta)
+        omegas = site_energies(members, alpha, beta)[0]
         bad = min(omegas) if min(omegas) <= 0 else max(omegas)
         if not 0 < bad < math.inf:
             raise ValueError(f"alpha {alpha} and beta {beta} give a site energy of {bad}; "
                              f"site energies must be {'positive' if bad <= 0 else 'finite'}")
+        set_by = f"alpha {alpha} and beta {beta}"
     else:
-        omegas, turns = [float(omega)] * n_sites, turn_labels(members.matches)
-    return OscillatorChain(omegas=tuple(omegas), g_L=g_L, g_R=g_R, turns=tuple(turns[:-1]), s=s)
+        omegas, set_by = [float(omega)] * n_sites, "omega"
+    radii = {"g_l": 2 * abs(g_L), "g_r": 2 * abs(g_R), set_by: max(omegas)}
+    source = max(radii, key=radii.get)
+    if radii[source] > SPECTRUM_BOUND:
+        raise ValueError(f"{source} must keep the spectrum's Gershgorin radius "
+                         f"max(max omega, 2 max |g|) within 2**500, got {float(radii[source])!r}")
+    return OscillatorChain(omegas=tuple(omegas), g_L=g_L, g_R=g_R, turns=members.turns[:-1], s=s)
 
 
 def _hamiltonian_at(chain: OscillatorChain):
     """H(s) of the chain for any s, from bands built once (the chain's s unused)."""
     omegas = np.asarray(chain.omegas, dtype=float)
-    g = {TURN_LEFT: chain.g_L, TURN_RIGHT: chain.g_R}
-    couplings = np.array([g[t] for t in chain.turns], dtype=float)
+    couplings = np.where(chain.parity, float(chain.g_L), float(chain.g_R))
     return lambda s: SymTridiag(diag=(1.0 - s) * omegas, offdiag=s * couplings)
 
 
@@ -351,11 +360,12 @@ def participation_ratios(vectors: np.ndarray) -> np.ndarray:
     summed as a contiguous row of the transpose, as it would be on its own.
     """
     v = np.asarray(vectors, dtype=float)
-    norm_sq = np.ascontiguousarray((v * v).T).sum(axis=1)
+    squares = np.ascontiguousarray((v * v).T)
+    norm_sq = squares.sum(axis=1)
     bad = ~(np.abs(norm_sq - 1.0) <= NORM_TOL)
     if bad.any():
         raise ValueError(f"vector norm^2 is {norm_sq[bad][0]:.6f}, expected 1")
-    return 1.0 / np.ascontiguousarray((v**4).T).sum(axis=1)
+    return 1.0 / (squares * squares).sum(axis=1)
 
 
 def eigensystem(matrix: SymTridiag) -> Spectrum:

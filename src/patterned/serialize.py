@@ -18,7 +18,7 @@ from typing import IO, Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
 
-from .core import BLOCK_MAX, TURN_OF_PARITY
+from .core import BLOCK_MAX, turn_labels
 from .curves import LatticeCurve, Tessellation, distinct_ranks
 from .graphs import PatternedDag
 
@@ -45,9 +45,10 @@ def write_json(stream: IO[str], payload) -> None:
     stream.write("\n")
 
 
-def _mask_digits() -> list:
-    """The digits of every 10-bit digit mask (bit d for the digit d)."""
-    return [[d for d in range(10) if m >> d & 1] for m in range(1024)]
+def _mask_digits() -> Tuple[list, list]:
+    """The digits of every 10-bit digit mask (bit d for the digit d), and its turn label."""
+    digits = [[d for d in range(10) if m >> d & 1] for m in range(1024)]
+    return digits, turn_labels(np.array([len(ds) & 1 for ds in digits], dtype=np.uint8))
 
 
 @cache
@@ -55,9 +56,9 @@ def _profile_texts() -> Tuple[list, list]:
     """By digit mask: its digits joined by '|', and, as the match mask of a
     number, the `matches,match_count,patterned,turn` tail of its `gen` CSV
     row. Built on the first `gen` call, not at import."""
-    digits = _mask_digits()
+    digits, turns = _mask_digits()
     texts = ["|".join(map(str, ds)) for ds in digits]
-    tails = [f"{t},{len(ds)},true,{TURN_OF_PARITY[len(ds) & 1]}" for t, ds in zip(texts, digits)]
+    tails = [f"{t},{len(ds)},true,{turn}" for t, ds, turn in zip(texts, digits, turns)]
     return texts, tails
 
 
@@ -76,13 +77,12 @@ def profile_csv_rows(blocks: Iterable[tuple]) -> Iterator[str]:
 def profile_json_entries(blocks: Iterable[tuple]) -> Iterator[dict]:
     """`gen` JSON entries of ``core.profile_blocks``, every field but n looked up
     by mask; entries share the digit lists, which ``json`` writes out each time."""
-    digits = _mask_digits()
+    digits, turns = _mask_digits()
     for block in blocks:
         for n, d, s, m in zip(*(column.tolist() for column in block)):
-            count = len(digits[m])
             yield {"n": n, "digits": digits[d | ("0" in str(n))], "small_divisors": digits[s],
-                   "matches": digits[m], "match_count": count, "patterned": True,
-                   "turn": TURN_OF_PARITY[count & 1]}
+                   "matches": digits[m], "match_count": len(digits[m]), "patterned": True,
+                   "turn": turns[m]}
 
 
 _PRIME_LINES = ("%d,gap\n", "%d,patterned\n")  # by the qualifying flag

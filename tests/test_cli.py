@@ -576,6 +576,37 @@ class TestModes:
                        "site energies must be finite\n")
 
 
+class TestSpectrumBound:
+    """A chain whose Gershgorin radius max(max omega, 2 max |g|) passes 2**500
+    exits 2 before any eigensolve, naming the flag that set the radius."""
+
+    RADIUS = "must keep the spectrum's Gershgorin radius max(max omega, 2 max |g|) within 2**500"
+
+    @pytest.mark.parametrize("argv, message", [
+        (("sweep", "--sites", "30", "--g-l", "-1e308", "--omega-mode", "constant",
+          "--s-grid", "0.5,1"), "g_l"),
+        (("modes", "--sites", "5", "--g-l", "1e308", "--g-r", "1e308",
+          "--omega-mode", "constant"), "g_l"),
+        (("modes", "--sites", "5", "--g-r", "-1.6366953039480735e+150"), "g_r"),
+        (("sweep", "--sites", "5", "--omega-mode", "constant", "--omega", "1e200"), "omega"),
+        (("modes", "--sites", "5", "--alpha", "1e300"), "alpha 1e+300 and beta 0.5"),
+    ])
+    def test_radius_past_the_bound_names_the_flag(self, capsys, tmp_path, argv, message):
+        out_file = tmp_path / "out.csv"
+        code, out, err = run(capsys, *argv, "--out", str(out_file))
+        assert code == 2 and out == "" and not out_file.exists()
+        assert re.fullmatch(rf"error: {re.escape(message)} {re.escape(self.RADIUS)}, got \S+\n",
+                            err)
+
+    def test_radius_at_the_bound_is_accepted(self, capsys):
+        half = repr(2.0**499)  # 2 |g| is the bound itself
+        code, out, err = run(capsys, "modes", "--sites", "5", "--g-l", half, "--g-r", "-" + half,
+                             "--omega-mode", "constant", "--omega", repr(2.0**500))
+        assert (code, err) == (0, "")
+        values = [float(line.split(",")[1]) for line in out.splitlines()[1:]]
+        assert len(values) == 5 and all(abs(v) <= 2.0**500 for v in values)
+
+
 class TestSweep:
     def test_grid_rows(self, capsys):
         code, out, _ = run(

@@ -339,7 +339,8 @@ class TestBlockClassifier:
         first = scan_members(k=5000)
         counts = [bin(m).count("1") for m in first.matches.tolist()]
         assert counts == [oracle_match_count(n) for n in first.numbers.tolist()]
-        assert core.turn_labels(first.matches) == ["L" if c % 2 else "R" for c in counts]
+        assert first.turns.tolist() == [c % 2 for c in counts]
+        assert core.turn_labels(first.turns) == ["L" if c % 2 else "R" for c in counts]
 
     def test_windows_around_block_boundaries(self):
         members = set(patterned_sequence(10**6))

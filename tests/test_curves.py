@@ -1,6 +1,7 @@
 """Lattice curve, region counting, seahorse, motion and tessellation tests."""
 
 import random
+import re
 import time
 from itertools import product
 from operator import neg
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patterned import curves
+from patterned import core, curves
 from patterned.curves import (
     LatticeCurve,
     RigidMotion,
@@ -276,6 +277,57 @@ def _oracle_motion(vertices, final, rotation, reflect, translation):
         _HEADING_OF[bx - ax, by - ay] for (ax, ay), (bx, by) in zip(moved, moved[1:])
     )
     return moved, headings, _HEADING_OF[vector(_VECTORS[final])]
+
+
+# A turn word and its parity as core makes it: a random word, or the word of the
+# first k members, spelled by turn_sequence.
+_word_and_parity = st.one_of(
+    st.text(alphabet="LR", max_size=300).map(lambda w: (w, core.turn_parity(w))),
+    st.integers(1, 5000).map(
+        lambda k: ("".join(core.turn_sequence(k)), core.scan_members(k=k).turns)),
+)
+
+
+class TestParityWord:
+    """A turn word given as a str, a list of labels or core's parity array is
+    one word: the same curve, runs and mirror image."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_word_and_parity)
+    def test_labels_and_parity_are_one_word(self, word_and_parity):
+        word, parity = word_and_parity
+        assert parity.dtype == np.uint8 and not parity.flags.writeable
+        assert parity.tolist() == [int(c == "L") for c in word]
+        curves_of_word = [trace(word), trace(list(word)), trace(parity)]
+        for c in curves_of_word:
+            assert c.path.tobytes() == curves_of_word[0].path.tobytes()
+            assert (c.source_turns, c.final_heading) == (tuple(word),
+                                                         curves_of_word[0].final_heading)
+        assert max_run_length(parity) == max((len(m.group()) for m in re.finditer("L+|R+", word)),
+                                             default=0)
+        mirrored = apply_motion(curves_of_word[2], RigidMotion(reflect=True))
+        assert mirrored.parity.tolist() == [1 - p for p in parity.tolist()]
+        assert mirrored.source_turns == tuple(word.translate(str.maketrans("LR", "RL")))
+
+    def test_core_parity_passes_without_a_copy(self):
+        parity = core.scan_members(k=100).turns
+        assert trace(parity).parity is parity
+        assert core.turn_parity(parity[:-1]).base is parity
+        with pytest.raises(ValueError, match="^turn label must be 'L' or 'R', got "):
+            trace(np.array([1, 0], dtype=np.uint8))  # not core's: read as labels
+
+    def test_other_arrays_are_read_as_labels(self):
+        writable = np.array([1, 0], dtype=np.uint8)
+        view = writable[:]
+        view.flags.writeable = False  # read-only, but its memory is still writable
+        big = np.array([128], dtype=np.uint8)
+        big.flags.writeable = False
+        for turns, first in ((np.frombuffer(b"LRL", np.uint8), 76), (view, 1), (big, 128)):
+            message = rf"^turn label must be 'L' or 'R', got {re.escape(repr(np.uint8(first)))}$"
+            with pytest.raises(ValueError, match=message):
+                trace(turns)
+            with pytest.raises(ValueError, match=message):
+                LatticeCurve(((0, 0), (1, 0)), turns[:1], "S")
 
 
 class TestAgainstOracle:

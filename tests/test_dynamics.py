@@ -7,6 +7,7 @@ matrix-vector products against the vectorized implementation.
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -219,10 +220,10 @@ class TestRunWalk:
             run_walk(5, 1, coins=coins)
 
     def test_steps_times_sites_capped_before_allocation(self, monkeypatch):
-        def no_work(*args):
+        def no_work(*args, **kwargs):
             raise AssertionError("the cap must be checked before any work")
 
-        monkeypatch.setattr(dynamics, "turn_sequence", no_work)
+        monkeypatch.setattr(dynamics, "scan_members", no_work)
         monkeypatch.setattr(dynamics.np, "empty", no_work)
         with pytest.raises(ResourceLimitError, match="steps must keep"):
             run_walk(100, 10**12)
@@ -231,7 +232,7 @@ class TestRunWalk:
 
     def test_largest_walk_under_the_cap_is_accepted(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(dynamics, "turn_sequence", lambda n: calls.append(n) or 1 / 0)
+        monkeypatch.setattr(dynamics, "scan_members", lambda k: calls.append(k) or 1 / 0)
         with pytest.raises(ZeroDivisionError):
             run_walk(1000, MAX_WALK_CELLS // 1000 - 1)
         assert calls == [1000]
@@ -273,7 +274,7 @@ class TestWalkEntries:
 
     @pytest.mark.parametrize("steps", [0, 1])
     def test_unknown_boundary_named_before_any_work(self, monkeypatch, steps):
-        monkeypatch.setattr(dynamics, "turn_sequence", lambda n: 1 / 0)
+        monkeypatch.setattr(dynamics, "scan_members", lambda k: 1 / 0)
         with pytest.raises(ValueError, match="^boundary must be 'reflecting' or 'absorbing', "
                                              "got 'periodic'$"):
             run_walk(3, steps, boundary="periodic")
@@ -329,6 +330,19 @@ class TestOscillatorChain:
     def test_validates_s_range(self):
         with pytest.raises(ValueError):
             OscillatorChain(omegas=(1.0, 1.0), g_L=1, g_R=1, turns=("L",), s=1.5)
+
+    def test_only_core_parity_passes_as_an_array(self):
+        writable = np.array([1, 0], dtype=np.uint8)
+        view = writable[:]
+        view.flags.writeable = False  # read-only, but its memory is still writable
+        big = np.array([128, 0], dtype=np.uint8)
+        big.flags.writeable = False
+        for turns in (np.frombuffer(b"LR", np.uint8), writable, view, big):
+            with pytest.raises(ValueError, match="^turn labels must be 'L' or 'R'$"):
+                OscillatorChain(omegas=(1.0,) * 3, g_L=1, g_R=1, turns=turns, s=0.0)
+        parity = scan_members(k=3).turns[:-1]
+        chain = OscillatorChain(omegas=(1.0,) * 3, g_L=1, g_R=1, turns=parity, s=0.0)
+        assert chain.parity is parity and chain.turns == tuple(turn_sequence(2))
 
     def test_patterned_chain_energy_omegas(self):
         chain = patterned_chain(12, g_L=1.0, g_R=0.5, alpha=1.0, beta=0.0)
@@ -430,9 +444,51 @@ class TestParticipationRatio:
         for n in (1, 2, 7, 60, 301):
             matrix = SymTridiag(diag=rng.normal(size=n), offdiag=rng.normal(size=n - 1))
             _, vectors = eigh_tridiagonal(matrix)
-            one_at_a_time = [1.0 / np.sum(vectors[:, j] ** 4) for j in range(n)]
+            one_at_a_time = [1.0 / np.sum(np.square(vectors[:, j] * vectors[:, j]))
+                             for j in range(n)]
             assert participation_ratios(vectors).tolist() == one_at_a_time
             assert [participation_ratios(vectors[:, [j]])[0] for j in range(n)] == one_at_a_time
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(1, 300), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_within_4_ulps_of_the_fourth_powers(self, n, m, seed):
+        vectors = np.random.default_rng(seed).normal(size=(n, m))
+        vectors /= np.linalg.norm(vectors, axis=0)
+        for j, ratio in enumerate(participation_ratios(vectors).tolist()):
+            exact = 1.0 / np.sum(vectors[:, j] ** 4)
+            assert abs(ratio - exact) <= 4 * np.spacing(exact)
+
+
+class TestSpectrumBound:
+    """Every eigenvalue of H(s) lies within the Gershgorin radius
+    max(max omega, 2 max |g|); a chain is refused where that passes the bound."""
+
+    @pytest.mark.parametrize("kwargs, source", [
+        ({"g_L": -1e308, "omega_mode": "constant"}, "g_l"),
+        ({"g_L": 1e308, "g_R": 1e308}, "g_l"),
+        ({"g_R": math.nextafter(2.0**499, math.inf)}, "g_r"),
+        ({"omega_mode": "constant", "omega": 1e200}, "omega"),
+        ({"alpha": 1e300}, "alpha 1e+300 and beta 0.5"),
+        ({"alpha": 1.0, "beta": 2.0**501}, f"alpha 1.0 and beta {2.0**501}"),
+    ])
+    def test_radius_past_the_bound_names_its_source(self, monkeypatch, kwargs, source):
+        def no_solve(matrix):
+            raise AssertionError("an eigensolve ran before the radius was checked")
+
+        monkeypatch.setattr(dynamics, "eigh_tridiagonal", no_solve)
+        with pytest.raises(ValueError, match=rf"^{re.escape(source)} must keep the spectrum's "
+                                             r"Gershgorin radius .* within 2\*\*500, got "):
+            patterned_chain(30, **{"g_L": 1.0, "g_R": 1.0, **kwargs})
+
+    @pytest.mark.parametrize("s", [0.0, 0.5, 1.0])
+    def test_radius_at_the_bound_gives_a_finite_spectrum(self, s):
+        half = 2.0**499
+        assert 2 * half == dynamics.SPECTRUM_BOUND
+        chain = patterned_chain(40, g_L=half, g_R=-half, s=s, omega_mode="constant", omega=2 * half)
+        values = eigensystem(build_single_excitation_hamiltonian(chain)).eigenvalues
+        assert np.all(np.abs(values) <= dynamics.SPECTRUM_BOUND)
+        points = adiabatic_sweep(chain, [0.0, 0.5, 1.0])
+        assert all(map(math.isfinite, (v for p in points for v in dataclasses.astuple(p))))
 
 
 class TestSweep:

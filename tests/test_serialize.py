@@ -184,7 +184,7 @@ class TestFloatRows:
 class TestOtherRows:
     def test_turns(self, capsys):
         members = core.scan_members(k=300)
-        rows = zip(range(1, 301), members.numbers.tolist(), core.turn_labels(members.matches))
+        rows = zip(range(1, 301), members.numbers.tolist(), core.turn_labels(members.turns))
         assert run(capsys, "turns", "--k", 300) == ref_csv(("index", "n", "turn"), rows)
 
     def test_primes(self, capsys):

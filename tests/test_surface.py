@@ -34,12 +34,13 @@ NOT_RUN_BY_COMMANDS = {
     "curves.curve_from_vertices", "curves.bounded_regions_euler", "curves._graph_components",
     "curves.region_count_flood", "curves.bounded_regions_flood", "curves.is_seahorse",
     "dynamics.deterministic_walk", "dynamics.WalkState", "dynamics.localized_state",
-    "dynamics.unitary_walk_step", "dynamics._step_amplitudes",
+    "dynamics.unitary_walk_step",
     # the rest of what c01-c12 import
-    "core.patterned_sequence", "core.primes_up_to", "graphs.patterned_primes",
-    "graphs.gap_primes",
-    # curve views that the oracles and c01-c12 read
-    "curves.LatticeCurve.__eq__", "curves.LatticeCurve.vertices",
+    "core.patterned_sequence", "core.primes_up_to", "core.turn_sequence",
+    "graphs.patterned_primes", "graphs.gap_primes",
+    # curve views that the oracles and c01-c12 read; TurnWordField.__get__ is the
+    # label view of LatticeCurve.source_turns and OscillatorChain.turns
+    "core.TurnWordField.__get__", "curves.LatticeCurve.__eq__", "curves.LatticeCurve.vertices",
     "curves.LatticeCurve.headings", "curves.LatticeCurve.start", "curves.LatticeCurve.end",
     "curves.LatticeCurve.edge_set", "curves.Tessellation.edge_set",
 }
