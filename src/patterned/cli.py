@@ -32,15 +32,14 @@ CLAIMED_COUNT_100 = 72
 CLAIMED_DENSITY_100 = 0.72
 
 # Caps on flags that size a command, checked before it scans or allocates:
-# about 1 GB at 150 bytes per walk site (turns: 67 per member), 450 per dag
-# integer, 270 per gen --format json integer and 260 per sweep s_grid point;
-# curve --k and dragon --max-edges stop at DEFAULT_EDGE_CAP segments, 160 bytes
-# each. primes needs 3.1 bytes per integer at its cap (406 MB for JSON, 326 MB
-# for CSV), so its cap is below 1 GB. gen CSV streams its rows and has no cap.
-MAX_MEMBERS = 6_000_000
+# about 1 GB at 450 bytes per dag integer and 260 per sweep s_grid point
+# (core.MAX_MEMBERS, at 150 per walk site, caps turns --k and the sites and
+# --limit of a chain); curve --k and dragon --max-edges stop at
+# DEFAULT_EDGE_CAP segments, 160 bytes each. primes needs 3.1 bytes per
+# integer at its cap (406 MB for JSON, 326 MB for CSV), so its cap is below
+# 1 GB. gen streams its rows and has no cap.
 MAX_DAG_LIMIT = 2_000_000
 MAX_PRIMES_LIMIT = 130_000_000
-MAX_GEN_JSON_LIMIT = 3_500_000
 MAX_S_GRID_POINTS = 4_000_000
 
 
@@ -249,7 +248,7 @@ def _chain_sites(cfg: RunConfig, low: int, cap: int) -> int:
         return _require(cfg, "sites", cap)
     if cfg.limit is None:
         raise ValueError("either sites or limit is required for this command")
-    limit = _require(cfg, "limit", MAX_MEMBERS)
+    limit = _require(cfg, "limit", core.MAX_MEMBERS)
     n = core.count_patterned(limit)
     if n < low:
         raise ValueError(f"limit must give >= {low} chain sites, got {limit}, which gives {n}")
@@ -264,7 +263,7 @@ def _chain_sites(cfg: RunConfig, low: int, cap: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_gen(cfg: RunConfig) -> int:
-    limit = _require(cfg, "limit", MAX_GEN_JSON_LIMIT if cfg.format == "json" else None)
+    limit = _require(cfg, "limit")
     blocks = core.profile_blocks(limit)
     fmt = _format(cfg, "csv")
     with _out_stream(cfg.out) as stream:
@@ -272,8 +271,7 @@ def _cmd_gen(cfg: RunConfig) -> int:
             rows = serialize.profile_csv_rows(blocks)
             serialize.write_csv(stream, serialize.PROFILE_CSV_HEADER, rows)
         else:
-            listing = list(serialize.profile_json_entries(blocks))
-            serialize.write_json(stream, {"limit": limit, "profiles": listing})
+            stream.writelines(serialize.profile_json(limit, blocks))
     return 0
 
 
@@ -314,17 +312,13 @@ def _cmd_primes(cfg: RunConfig) -> int:
 
 
 def _cmd_turns(cfg: RunConfig) -> int:
-    k = _require(cfg, "k", MAX_MEMBERS)
-    members = core.scan_members(k=k)
-    numbers, turns = members.numbers.tolist(), core.turn_labels(members.turns)
+    members = core.scan_members(k=_require(cfg, "k"))
     fmt = _format(cfg, "csv")
     with _out_stream(cfg.out) as stream:
         if fmt == "csv":
-            rows = zip(range(1, k + 1), numbers, turns)
-            serialize.write_csv(stream, ("index", "n", "turn"), map("%d,%d,%s\n".__mod__, rows))
+            serialize.write_csv(stream, ("index", "n", "turn"), serialize.turn_csv_rows(members))
         else:
-            payload = {"k": k, "numbers": numbers, "turns": turns}
-            serialize.write_json(stream, payload)
+            stream.writelines(serialize.turn_json(members))
     return 0
 
 
@@ -413,7 +407,7 @@ def _cmd_dag(cfg: RunConfig) -> int:
 
 
 def _cmd_walk(cfg: RunConfig) -> int:
-    n = _chain_sites(cfg, 2, MAX_MEMBERS)
+    n = _chain_sites(cfg, 2, core.MAX_MEMBERS)
     coins = dynamics.CoinSpec(theta_L=cfg.theta_l, theta_R=cfg.theta_r)
     series = dynamics.run_walk(
         n, cfg.steps, coins=coins, initial_site=cfg.initial_site,

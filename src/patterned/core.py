@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .errors import InvariantError
+from .errors import InvariantError, ResourceLimitError
 
 # Core arithmetic targets 64-bit-capable integers; larger inputs are rejected.
 MAX_INT = 2**63 - 1
@@ -37,6 +37,11 @@ TURN_RIGHT = "R"
 # stays short, and grow to a fixed size, so a long one runs in bounded memory.
 BLOCK_FIRST = 1024
 BLOCK_MAX = 1 << 14
+
+# The most members a scan of the first k may take, checked before it starts: a
+# walk on that many sites, the largest use of a scan, takes about 1 GB at 150
+# bytes a site.
+MAX_MEMBERS = 6_000_000
 
 
 @dataclass(frozen=True)
@@ -333,11 +338,14 @@ def is_patterned_prime(p: int, assume_prime: bool = False) -> bool:
 
 
 def scan_members(limit: Optional[int] = None, k: Optional[int] = None) -> Members:
-    """The qualifying numbers <= limit or, without a limit, the first k."""
+    """The qualifying numbers <= limit or, without a limit, the first k, for k
+    up to MAX_MEMBERS."""
     if limit is not None:
         _check_positive(limit, "limit")
     else:
         _check_positive(k, "k")
+        if k > MAX_MEMBERS:
+            raise ResourceLimitError(f"k must be <= {MAX_MEMBERS}, got {k}")
     numbers, matches, found = [], [], 0
     for block, _, block_matches in _member_blocks(limit or MAX_INT):
         numbers.append(block)

@@ -3,7 +3,12 @@
 All numeric formatting is explicit (reals at 12 significant digits) and all
 iteration orders are fixed, so identical inputs serialize to identical bytes.
 Each CSV row is formatted whole, by one %-format or one lookup table per
-command, not by a Python call per cell; an SVG path formats each distinct
+command, not by a Python call per cell. The `gen`, `turns` and `primes`
+writers go a block of up to ``core.BLOCK_MAX`` members at a time: the
+block's text cells are looked up by mask or parity in small tables, and one
+%-format is applied once to the whole block, which is written as soon as it
+is made. `gen` and `turns` write their JSON the same way, as the bytes
+that ``json.dump(indent=2)`` gives. An SVG path formats each distinct
 coordinate once and looks the rest up. The walk's probability table is
 written a block of cells at a time by ``real_csv_rows``: its zeros and its
 cells in [1e-99, 1) are formatted in numpy, exactly as '%.12g' formats them,
@@ -18,7 +23,7 @@ from typing import IO, Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
 
-from .core import BLOCK_MAX, turn_labels
+from .core import BLOCK_MAX, TURN_OF_PARITY, Members
 from .curves import LatticeCurve, Tessellation, distinct_ranks
 from .graphs import PatternedDag
 
@@ -45,44 +50,141 @@ def write_json(stream: IO[str], payload) -> None:
     stream.write("\n")
 
 
-def _mask_digits() -> Tuple[list, list]:
-    """The digits of every 10-bit digit mask (bit d for the digit d), and its turn label."""
-    digits = [[d for d in range(10) if m >> d & 1] for m in range(1024)]
-    return digits, turn_labels(np.array([len(ds) & 1 for ds in digits], dtype=np.uint8))
+def _block_slices(size: int) -> Iterator[slice]:
+    """The blocks of BLOCK_MAX items, the last one shorter, of a column of ``size``."""
+    return (slice(start, min(start + BLOCK_MAX, size)) for start in range(0, size, BLOCK_MAX))
+
+
+# Whether a 3-digit chunk of a number's text holds a 0: the top chunk as it is
+# written, at index chunk (the chunk 0 past the top holds none), and a chunk
+# below the top with its leading zeros, at index chunk + 1000.
+_CHUNK = np.arange(1000)
+_ZERO_IN_CHUNK = np.concatenate([
+    (_CHUNK % 10 == 0) & (_CHUNK > 0) | (_CHUNK // 10 % 10 == 0) & (_CHUNK >= 100),
+    (_CHUNK % 10 == 0) | (_CHUNK // 10 % 10 == 0) | (_CHUNK < 100),
+])
+del _CHUNK
+
+
+def _zero_digit(numbers: np.ndarray) -> np.ndarray:
+    """1 for each number of an int64 array of 1..MAX_INT whose text holds a 0, else 0."""
+    rest, chunk = np.divmod(numbers, 1000)
+    zero = _ZERO_IN_CHUNK[chunk + 1000 * (rest != 0)]
+    while np.count_nonzero(rest):
+        rest, chunk = np.divmod(rest, 1000)
+        zero |= _ZERO_IN_CHUNK[chunk + 1000 * (rest != 0)]
+    return zero.view(np.uint8)
+
+
+# How `gen` writes a profile, by format: the %-format of a row (n, digits,
+# divisors, tail) and the text between rows; how a digit set is written,
+# before, between and after its digits; and the %-format of the tail of a
+# row from its match mask (digits, count, turn). JSON is written as
+# json.dump(indent=2) writes it: a row is an entry of the "profiles" list.
+_PROFILE_FORMS = {
+    "csv": ("%d,%s,%s,%s\n", "", ("", "|", ""), "%s,%d,true,%s"),
+    "json": ('    {\n      "n": %d,\n      "digits": %s,\n      "small_divisors": %s,\n'
+             '      %s\n    }', ",\n", ("[\n        ", ",\n        ", "\n      ]"),
+             '"matches": %s,\n      "match_count": %d,\n      "patterned": true,\n'
+             '      "turn": "%s"'),
+}
 
 
 @cache
-def _profile_texts() -> Tuple[list, list]:
-    """By digit mask: its digits joined by '|', and, as the match mask of a
-    number, the `matches,match_count,patterned,turn` tail of its `gen` CSV
-    row. Built on the first `gen` call, not at import."""
-    digits, turns = _mask_digits()
-    texts = ["|".join(map(str, ds)) for ds in digits]
-    tails = [f"{t},{len(ds)},true,{turn}" for t, ds, turn in zip(texts, digits, turns)]
-    return texts, tails
+def _profile_texts(fmt: str) -> Tuple[np.ndarray, np.ndarray]:
+    """By digit mask, as object arrays in format ``fmt``: the text of its
+    digits, and, as the match mask of a number, the tail of the number's row.
+    A mask's digits are its lowest digit and then those of the mask without
+    it. Built on the first `gen` call in the format, not at import."""
+    _, _, (before, between, after), tail = _PROFILE_FORMS[fmt]
+    digits, counts = [""], [0]
+    for mask in range(1, 1024):
+        rest = mask & (mask - 1)
+        lowest = str((mask & -mask).bit_length() - 1)
+        digits.append(lowest + between + digits[rest] if rest else lowest)
+        counts.append(counts[rest] + 1)
+    texts = [before + d + after for d in digits]
+    tails = [tail % (t, c, TURN_OF_PARITY[c & 1]) for t, c in zip(texts, counts)]
+    return np.array(texts, dtype=object), np.array(tails, dtype=object)
+
+
+def _profile_rows(fmt: str, blocks: Iterable[tuple]) -> Iterator[str]:
+    """The rows of each ``core.profile_blocks`` block in format ``fmt``: every
+    cell but n is looked up by mask, and one %-format for the block's rows is
+    applied once. The digit masks leave out the digit 0, which
+    ``_zero_digit`` adds."""
+    row, between = _PROFILE_FORMS[fmt][:2]
+    texts, tails = _profile_texts(fmt)
+    for numbers, digits, divisors, matches in blocks:
+        cells = [None] * (4 * len(numbers))
+        cells[0::4] = numbers.tolist()
+        cells[1::4] = texts[digits | _zero_digit(numbers)].tolist()
+        cells[2::4] = texts[divisors].tolist()
+        cells[3::4] = tails[matches].tolist()
+        yield between.join([row] * len(numbers)) % tuple(cells)
 
 
 def profile_csv_rows(blocks: Iterable[tuple]) -> Iterator[str]:
-    """`gen` CSV lines of ``core.profile_blocks``, every cell but n looked up
-    by mask; the masks leave out the digit 0, which the text of n shows."""
-    texts, tails = _profile_texts()
-    for numbers, digits, divisors, matches in blocks:
-        yield from (
-            f"{n},{texts[d | ('0' in n)]},{texts[s]},{tails[m]}\n"
-            for n, d, s, m in zip(map(str, numbers.tolist()), digits.tolist(),
-                                  divisors.tolist(), matches.tolist())
-        )
+    """`gen` CSV lines of ``core.profile_blocks``, a block at a time."""
+    return _profile_rows("csv", blocks)
 
 
-def profile_json_entries(blocks: Iterable[tuple]) -> Iterator[dict]:
-    """`gen` JSON entries of ``core.profile_blocks``, every field but n looked up
-    by mask; entries share the digit lists, which ``json`` writes out each time."""
-    digits, turns = _mask_digits()
-    for block in blocks:
-        for n, d, s, m in zip(*(column.tolist() for column in block)):
-            yield {"n": n, "digits": digits[d | ("0" in str(n))], "small_divisors": digits[s],
-                   "matches": digits[m], "match_count": len(digits[m]), "patterned": True,
-                   "turn": turns[m]}
+def _json_list(key: str, blocks: Iterable[str]) -> Iterator[str]:
+    """The `"key": [...]` member of a top-level object as json.dump(indent=2)
+    writes it, from blocks of items at indent 4, each block joined by ",\n"."""
+    yield f'  "{key}": ['
+    between = "\n"
+    for text in blocks:
+        if text:
+            yield between + text
+            between = ",\n"
+    yield "]" if between == "\n" else "\n  ]"
+
+
+def profile_json(limit: int, blocks: Iterable[tuple]) -> Iterator[str]:
+    """The `gen` JSON document of ``core.profile_blocks(limit)``, a block of
+    entries at a time, each block as it is made: the bytes of
+    ``json.dump({"limit": limit, "profiles": [...]}, indent=2)`` and a newline."""
+    yield '{\n  "limit": %d,\n' % limit
+    yield from _json_list("profiles", _profile_rows("json", blocks))
+    yield "\n}\n"
+
+
+# By parity, the bytes of a `turns` CSV line's format and of a JSON list item
+# with the comma after it; each has the same width for either label.
+_TURN_CSV_LINES, _TURN_JSON_ITEMS = (
+    np.frombuffer("".join(form % label for label in TURN_OF_PARITY).encode(), np.uint8)
+    .reshape(2, -1)
+    for form in ("%%d,%%d,%s\n", '    "%s",\n')
+)
+
+
+def turn_csv_rows(members: Members) -> Iterator[str]:
+    """`turns` CSV lines of a member scan, a block at a time: each line's
+    format is picked by the member's parity, and the block's index and
+    number columns are applied to them once."""
+    parity = members.turns
+    for block in _block_slices(len(parity)):
+        cells = np.empty((block.stop - block.start, 2), dtype=np.int64)
+        cells[:, 0] = np.arange(block.start + 1, block.stop + 1)
+        cells[:, 1] = members.numbers[block]
+        lines = str(_TURN_CSV_LINES[parity[block]].tobytes(), "ascii")
+        yield lines % tuple(cells.ravel().tolist())
+
+
+def turn_json(members: Members) -> Iterator[str]:
+    """The `turns` JSON document of a member scan, a block of each list at a
+    time: the bytes of ``json.dump({"k": k, "numbers": [...], "turns": [...]},
+    indent=2)`` and a newline."""
+    parity = members.turns
+    blocks = list(_block_slices(len(parity)))
+    yield '{\n  "k": %d,\n' % len(parity)
+    yield from _json_list("numbers", (",\n".join(["    %d"] * (b.stop - b.start))
+                                      % tuple(members.numbers[b].tolist()) for b in blocks))
+    yield ",\n"
+    yield from _json_list("turns", (str(_TURN_JSON_ITEMS[parity[b]].tobytes()[:-2], "ascii")
+                                    for b in blocks))
+    yield "\n}\n"
 
 
 _PRIME_LINES = ("%d,gap\n", "%d,patterned\n")  # by the qualifying flag
@@ -91,8 +193,7 @@ _PRIME_LINES = ("%d,gap\n", "%d,patterned\n")  # by the qualifying flag
 def prime_csv_rows(primes: np.ndarray, qualifies: np.ndarray) -> Iterator[str]:
     """`primes` CSV lines in prime order: the line formats of a block of
     primes, joined, are applied once."""
-    for start in range(0, len(primes), BLOCK_MAX):
-        block = slice(start, start + BLOCK_MAX)
+    for block in _block_slices(len(primes)):
         lines = "".join([_PRIME_LINES[q] for q in qualifies[block].tolist()])
         yield lines % tuple(primes[block].tolist())
 

@@ -986,19 +986,19 @@ class TestSizeCaps:
     @pytest.mark.parametrize(
         "argv, flag, cap",
         [
-            (("turns", "--k"), "k", cli.MAX_MEMBERS),
+            (("turns", "--k"), "k", core.MAX_MEMBERS),
             (("curve", "--k"), "k", curves.DEFAULT_EDGE_CAP),
             (("dragon", "--generations", "2", "--k"), "k", curves.DEFAULT_EDGE_CAP),
             (("tessellate", "--placements", ROTATIONS, "--k"), "k", curves.DEFAULT_EDGE_CAP),
             (("dag", "--limit"), "limit", cli.MAX_DAG_LIMIT),
-            (("walk", "--steps", "0", "--limit"), "limit", cli.MAX_MEMBERS),
-            (("modes", "--limit"), "limit", cli.MAX_MEMBERS),
-            (("sweep", "--limit"), "limit", cli.MAX_MEMBERS),
-            (("walk", "--steps", "0", "--sites"), "sites", cli.MAX_MEMBERS),
+            (("walk", "--steps", "0", "--limit"), "limit", core.MAX_MEMBERS),
+            (("modes", "--limit"), "limit", core.MAX_MEMBERS),
+            (("sweep", "--limit"), "limit", core.MAX_MEMBERS),
+            (("walk", "--steps", "0", "--sites"), "sites", core.MAX_MEMBERS),
             (("modes", "--sites"), "sites", 5000),
             (("sweep", "--sites"), "sites", 5000),
             (("primes", "--limit"), "limit", cli.MAX_PRIMES_LIMIT),
-            (("gen", "--format", "json", "--limit"), "limit", cli.MAX_GEN_JSON_LIMIT),
+            (("turns", "--format", "json", "--k"), "k", core.MAX_MEMBERS),
             (("dragon", "--word", "LLR", "--max-edges"), "max_edges", curves.DEFAULT_EDGE_CAP),
         ],
     )
@@ -1012,24 +1012,23 @@ class TestSizeCaps:
 
     def test_caps_are_inclusive(self, capsys, monkeypatch):
         monkeypatch.undo()
-        monkeypatch.setattr(cli, "MAX_MEMBERS", 12)
+        monkeypatch.setattr(core, "MAX_MEMBERS", 12)
         monkeypatch.setattr(cli, "MAX_DAG_LIMIT", 19)
         monkeypatch.setattr(cli, "MAX_PRIMES_LIMIT", 19)
-        monkeypatch.setattr(cli, "MAX_GEN_JSON_LIMIT", 13)
         monkeypatch.setattr(curves, "DEFAULT_EDGE_CAP", 12)
         for argv, flag, cap in (
             (("turns", "--k"), "k", 12),
             (("curve", "--k"), "k", 12),
             (("dag", "--limit"), "limit", 19),
             (("primes", "--limit"), "limit", 19),
-            (("gen", "--format", "json", "--limit"), "limit", 13),
             (("walk", "--steps", "3", "--sites"), "sites", 12),
             (("walk", "--steps", "3", "--limit"), "limit", 12),
         ):
             assert run(capsys, *argv, str(cap))[0] == 0
             code, _, err = run(capsys, *argv, str(cap + 1))
             assert code == 2 and err == f"error: {flag} must be <= {cap}, got {cap + 1}\n"
-        assert run(capsys, "gen", "--limit", "14")[0] == 0  # the CSV streams: no cap
+        for fmt in ("csv", "json"):  # gen streams: no cap
+            assert run(capsys, "gen", "--limit", "14", "--format", fmt)[0] == 0
 
     @pytest.mark.parametrize("command", [("curve",), ("dragon",), ("tessellate", "--placements",
                                                                   ROTATIONS)])

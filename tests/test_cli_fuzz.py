@@ -23,7 +23,7 @@ import tempfile
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from patterned import cli, curves, tridiag
+from patterned import cli, core, curves, tridiag
 from patterned.cli import cli_dispatch
 
 INF, NAN = float("inf"), float("nan")
@@ -62,7 +62,7 @@ PLACEMENTS = st.one_of(st.lists(MOTION, min_size=1, max_size=4),
 def chain(sites_cap):
     return {
         "sites": ints(1, 3, 13, cap=sites_cap),
-        "limit": ints(1, 12, 100, 20_000, cap=cli.MAX_MEMBERS),
+        "limit": ints(1, 12, 100, 20_000, cap=core.MAX_MEMBERS),
         "alpha": reals(1.0, 0.5),
         "beta": reals(0.5, 2.0),
         "g_l": reals(1.0, 0.3),
@@ -76,7 +76,7 @@ COMMANDS = {
     "gen": {"limit": ints(1, 13, 500), "format": FORMAT},
     "count": {"limit": ints(1, 100, 10**6 + 1, 2**63 - 1)},
     "primes": {"limit": ints(1, 2, 500, cap=cli.MAX_PRIMES_LIMIT), "format": FORMAT},
-    "turns": {"k": ints(1, 12, 300, cap=cli.MAX_MEMBERS), "format": FORMAT},
+    "turns": {"k": ints(1, 12, 300, cap=core.MAX_MEMBERS), "format": FORMAT},
     "curve": CURVE,
     "seahorse-scan": {"max_len": ints(1, 5, 9, 21, cap=curves.MAX_SEAHORSE_LEN),
                       "all_words": SWITCH, "format": FORMAT},
@@ -84,7 +84,7 @@ COMMANDS = {
                "max_edges": ints(1, 64, cap=curves.DEFAULT_EDGE_CAP)},
     "tessellate": {**CURVE, "placements": PLACEMENTS},
     "dag": {"limit": ints(2, 19, 300, cap=cli.MAX_DAG_LIMIT), "gap_primes": SWITCH},
-    "walk": {**chain(cli.MAX_MEMBERS), "steps": ints(0, 3),
+    "walk": {**chain(core.MAX_MEMBERS), "steps": ints(0, 3),
              "theta_l": reals(0.5), "theta_r": reals(-0.5),
              "initial_site": ints(1, 2), "initial_coin": st.sampled_from(["L", "R", "x"]),
              "boundary": st.sampled_from(["reflecting", "absorbing", "x"])},

@@ -31,6 +31,7 @@ from patterned.core import (
     site_energies,
     turn_sequence,
 )
+from patterned.errors import ResourceLimitError
 
 
 def oracle_patterned(n):
@@ -210,6 +211,21 @@ class TestSequence:
             first = scan_members(k=k).numbers.tolist()
             assert len(first) == k
             assert first == patterned_sequence(first[-1])
+
+    def test_first_k_bounded_before_any_block(self, monkeypatch):
+        def classify(numbers):
+            raise AssertionError("a block was classified before k was checked")
+
+        monkeypatch.setattr(core, "classify_block", classify)
+        for k in (core.MAX_MEMBERS + 1, 10**12):
+            with pytest.raises(ResourceLimitError) as info:
+                scan_members(k=k)
+            assert str(info.value) == f"k must be <= 6000000, got {k}"
+        monkeypatch.undo()
+        monkeypatch.setattr(core, "MAX_MEMBERS", 12)
+        assert scan_members(k=12).numbers.tolist() == list(range(1, 13))
+        with pytest.raises(ResourceLimitError, match="k must be <= 12, got 13"):
+            scan_members(k=13)
 
 
 class TestCountAndDensity:

@@ -6,13 +6,15 @@ bools as ``true``/``false``, everything else with ``str``. Each test runs a
 command (or a writer) and compares its bytes with the reference's.
 """
 
+import io
 import json
+import sys
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from patterned import cli, core, curves, dynamics, serialize
+from patterned import core, curves, dynamics, serialize
 from patterned.cli import cli_dispatch
 from patterned.core import MAX_INT, patterned_sequence, profile
 
@@ -119,7 +121,8 @@ WIDE = sorted(
 
 class TestGen:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("limit", [1, 1023, 1024, 1025, 5119, 5120, 5121])
+    @pytest.mark.parametrize("limit", [1, 1023, 1024, 1025, 5119, 5120, 5121, 21503, 21504,
+                                       21505, 37887, 37888, 37889])
     def test_block_edges(self, capsys, fmt, limit):
         out = run(capsys, "gen", "--limit", limit, "--format", fmt)
         assert out == ref_gen(fmt, limit, patterned_sequence(limit))
@@ -129,9 +132,28 @@ class TestGen:
         block = member_block(WIDE)
         assert 0 < block[0].size < len(WIDE)
         monkeypatch.setattr(core, "_member_blocks", lambda limit: iter([block]))
-        monkeypatch.setattr(cli, "MAX_GEN_JSON_LIMIT", MAX_INT)  # the blocks are faked
         out = run(capsys, "gen", "--limit", MAX_INT, "--format", fmt)
         assert out == ref_gen(fmt, MAX_INT, block[0].tolist())
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_blocks_are_written_as_they_are_made(self, monkeypatch, fmt):
+        """The second block is made only once the first block's last entry is
+        out, and an empty block between them changes no byte."""
+        expected = ref_gen(fmt, 79, patterned_sequence(79))
+        stdout = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        first, second = member_block(range(1, 40)), member_block(range(40, 80))
+        last = f'"n": {first[0][-1]},' if fmt == "json" else f"\n{first[0][-1]},"
+
+        def blocks(limit):
+            yield first
+            assert last in stdout.getvalue()
+            yield member_block([23])
+            yield second
+
+        monkeypatch.setattr(core, "_member_blocks", blocks)
+        assert cli_dispatch(["gen", "--limit", "79", "--format", fmt]) == 0
+        assert stdout.getvalue() == expected
 
 
 class TestFloatRows:
@@ -181,11 +203,29 @@ class TestFloatRows:
         assert out == ref_csv(header, ([*vars(p).values()] for p in points))
 
 
+@pytest.fixture(scope="module")
+def first_members():
+    """The numbers and turn labels of the first 32769 members."""
+    members = core.scan_members(k=32769)
+    return members.numbers.tolist(), core.turn_labels(members.turns)
+
+
 class TestOtherRows:
     def test_turns(self, capsys):
         members = core.scan_members(k=300)
         rows = zip(range(1, 301), members.numbers.tolist(), core.turn_labels(members.turns))
         assert run(capsys, "turns", "--k", 300) == ref_csv(("index", "n", "turn"), rows)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("k", [1, 16383, 16384, 16385, 32767, 32768, 32769])
+    def test_turns_block_edges(self, capsys, first_members, fmt, k):
+        numbers, turns = (column[:k] for column in first_members)
+        if fmt == "csv":
+            rows = "".join("%d,%d,%s\n" % row for row in zip(range(1, k + 1), numbers, turns))
+            expected = "index,n,turn\n" + rows
+        else:
+            expected = json.dumps({"k": k, "numbers": numbers, "turns": turns}, indent=2) + "\n"
+        assert run(capsys, "turns", "--k", k, "--format", fmt) == expected
 
     def test_primes(self, capsys):
         rows = sorted([(p, "patterned") for p in (2, 3, 5, 7, 11, 13, 17, 19)]
