@@ -32,12 +32,12 @@ CLAIMED_COUNT_100 = 72
 CLAIMED_DENSITY_100 = 0.72
 
 # Caps on flags that size a command, checked before it scans or allocates:
-# about 1 GB at 450 bytes per dag integer and 260 per sweep s_grid point
-# (core.MAX_MEMBERS, at 150 per walk site, caps turns --k and the sites and
-# --limit of a chain); curve --k and dragon --max-edges stop at
-# DEFAULT_EDGE_CAP segments, 160 bytes each. primes needs 3.1 bytes per
-# integer at its cap (406 MB for JSON, 326 MB for CSV), so its cap is below
-# 1 GB. gen streams its rows and has no cap.
+# about 1 GB at 260 bytes per sweep s_grid point (core.MAX_MEMBERS, at 150
+# per walk site, caps turns --k and the sites and --limit of a chain); curve
+# --k and dragon --max-edges stop at DEFAULT_EDGE_CAP segments, 160 bytes
+# each. dag needs about 125 bytes per integer, as its DOT is written a block
+# at a time (258 MB at its cap), and primes 3.1 (406 MB for JSON, 326 MB for
+# CSV), so both caps are below 1 GB. gen streams its rows and has no cap.
 MAX_DAG_LIMIT = 2_000_000
 MAX_PRIMES_LIMIT = 130_000_000
 MAX_S_GRID_POINTS = 4_000_000
@@ -402,7 +402,7 @@ def _cmd_dag(cfg: RunConfig) -> int:
     )
     graphs.verify_acyclic_and_sort(dag)
     with _out_stream(cfg.out) as stream:
-        stream.write(serialize.dag_dot(dag))
+        stream.writelines(serialize.dag_dot(dag))
     return 0
 
 

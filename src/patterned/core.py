@@ -91,16 +91,19 @@ def _check_positive(n: int, name: str = "n") -> None:
 # Sets of digits are 10-bit masks, bit d standing for the digit d. Whether a
 # digit d divides n depends only on n mod 2520 = lcm(1..9), so one 2520-entry
 # table holds the divisors in 1..9 of every n; bit 0 is never set in it,
-# since nothing is divisible by 0. A second table holds the nonzero digits of
-# each three-digit chunk 0..999. The tables are built in plain Python, which
-# leaves numpy code that the classifier does not run out of memory.
+# since nothing is divisible by 0. A second table holds the digits of each
+# three-digit chunk c of a number's text: at index c the top chunk, as it is
+# written (the chunk 0 past the top holds none), and at index c + 1000 a chunk
+# below the top, with its leading zeros. The tables are built in plain Python,
+# which leaves numpy code that the classifier does not run out of memory.
 _DIVISORS = [0] * 2520
 for _d in range(1, 10):
     for _r in range(0, 2520, _d):
         _DIVISORS[_r] |= 1 << _d
 _CHUNK_DIGITS = [0]
 for _r in range(1, 1000):
-    _CHUNK_DIGITS.append(_CHUNK_DIGITS[_r // 10] | (1 << _r % 10 if _r % 10 else 0))
+    _CHUNK_DIGITS.append(_CHUNK_DIGITS[_r // 10] | 1 << _r % 10)
+_CHUNK_DIGITS += [digits | (r < 100) for r, digits in enumerate(_CHUNK_DIGITS)]
 _DIVISOR_MASKS = np.array(_DIVISORS, dtype=np.uint16)
 _CHUNK_MASKS = np.array(_CHUNK_DIGITS, dtype=np.uint16)
 _POPCOUNT = np.array([bin(m).count("1") for m in range(1024)], dtype=np.uint16)
@@ -112,16 +115,17 @@ del _DIVISORS, _CHUNK_DIGITS, _d, _r
 
 
 def classify_block(numbers: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Nonzero-digit masks and match masks of an int64 array of 1..MAX_INT.
+    """Digit masks and match masks of an int64 array of 1..MAX_INT.
 
     A number qualifies when its match mask (its digits that divide it) is
     nonzero; its turn is L when the mask has an odd number of bits, else R.
+    The digit 0 is in a digit mask but in no match mask.
     """
     rest, chunk = np.divmod(numbers, 1000)
-    digits = _CHUNK_MASKS[chunk]
+    digits = _CHUNK_MASKS[chunk + 1000 * (rest != 0)]
     while np.count_nonzero(rest):
         rest, chunk = np.divmod(rest, 1000)
-        digits |= _CHUNK_MASKS[chunk]
+        digits |= _CHUNK_MASKS[chunk + 1000 * (rest != 0)]
     return digits, digits & _DIVISOR_MASKS[numbers % 2520]
 
 
@@ -190,7 +194,7 @@ def count_patterned(limit: int) -> int:
 
 
 def _member_blocks(limit: int) -> Iterator[Tuple[np.ndarray, ...]]:
-    """(numbers, nonzero-digit masks, match masks) of the qualifying n <= limit."""
+    """(numbers, digit masks, match masks) of the qualifying n <= limit."""
     low, size = 1, BLOCK_FIRST
     while low <= limit:
         high = min(low + size - 1, limit)
@@ -216,7 +220,7 @@ def profile(n: int) -> DigitDivisorProfile:
     count = bin(matches).count("1")
     return DigitDivisorProfile(
         n=n,
-        digits=_mask_set(digits | ("0" in str(n))),  # the masks omit the digit 0
+        digits=_mask_set(digits),
         small_divisors=_mask_set(int(_DIVISOR_MASKS[n % 2520])),
         matches=_mask_set(matches),
         match_count=count,
@@ -226,7 +230,7 @@ def profile(n: int) -> DigitDivisorProfile:
 
 
 def profile_blocks(limit: int) -> Iterator[Tuple[np.ndarray, ...]]:
-    """(numbers, nonzero-digit masks, divisor masks, match masks) of the
+    """(numbers, digit masks, divisor masks, match masks) of the
     qualifying n <= limit, one block at a time: :func:`profile` as masks.
     ``limit`` is checked at the call, the blocks are made as they are read."""
     _check_positive(limit, "limit")

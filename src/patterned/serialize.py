@@ -3,16 +3,20 @@
 All numeric formatting is explicit (reals at 12 significant digits) and all
 iteration orders are fixed, so identical inputs serialize to identical bytes.
 Each CSV row is formatted whole, by one %-format or one lookup table per
-command, not by a Python call per cell. The `gen`, `turns` and `primes`
-writers go a block of up to ``core.BLOCK_MAX`` members at a time: the
-block's text cells are looked up by mask or parity in small tables, and one
-%-format is applied once to the whole block, which is written as soon as it
-is made. `gen` and `turns` write their JSON the same way, as the bytes
-that ``json.dump(indent=2)`` gives. An SVG path formats each distinct
-coordinate once and looks the rest up. The walk's probability table is
-written a block of cells at a time by ``real_csv_rows``: its zeros and its
-cells in [1e-99, 1) are formatted in numpy, exactly as '%.12g' formats them,
-and the few it cannot place exactly go to '%.12g' one by one.
+command, not by a Python call per cell. Lines of integers go a block of up
+to ``core.BLOCK_MAX`` at a time through one writer, ``_coded_lines``: each
+line's %-format is picked by a small code (a turn's parity, a prime's
+qualifying flag, a DAG node's kind, an edge's cluster flag), and the
+block's formats, joined, are applied once to its cells. `turns` CSV and
+JSON, `primes` CSV and the DOT of `dag` are written this way, each block
+as soon as it is made. `gen` looks its text cells up by mask in per-mask
+tables and applies one %-format to a block of rows. `gen` and `turns`
+write JSON as the bytes that ``json.dump(indent=2)`` gives. An SVG path
+formats each distinct coordinate once and looks the rest up. The walk's
+probability table is written a block of cells at a time by
+``real_csv_rows``: its zeros and its cells in [1e-99, 1) are formatted in
+numpy, exactly as '%.12g' formats them, and the few it cannot place exactly
+go to '%.12g' one by one.
 """
 
 import json
@@ -50,41 +54,15 @@ def write_json(stream: IO[str], payload) -> None:
     stream.write("\n")
 
 
-def _block_slices(size: int) -> Iterator[slice]:
-    """The blocks of BLOCK_MAX items, the last one shorter, of a column of ``size``."""
-    return (slice(start, min(start + BLOCK_MAX, size)) for start in range(0, size, BLOCK_MAX))
-
-
-# Whether a 3-digit chunk of a number's text holds a 0: the top chunk as it is
-# written, at index chunk (the chunk 0 past the top holds none), and a chunk
-# below the top with its leading zeros, at index chunk + 1000.
-_CHUNK = np.arange(1000)
-_ZERO_IN_CHUNK = np.concatenate([
-    (_CHUNK % 10 == 0) & (_CHUNK > 0) | (_CHUNK // 10 % 10 == 0) & (_CHUNK >= 100),
-    (_CHUNK % 10 == 0) | (_CHUNK // 10 % 10 == 0) | (_CHUNK < 100),
-])
-del _CHUNK
-
-
-def _zero_digit(numbers: np.ndarray) -> np.ndarray:
-    """1 for each number of an int64 array of 1..MAX_INT whose text holds a 0, else 0."""
-    rest, chunk = np.divmod(numbers, 1000)
-    zero = _ZERO_IN_CHUNK[chunk + 1000 * (rest != 0)]
-    while np.count_nonzero(rest):
-        rest, chunk = np.divmod(rest, 1000)
-        zero |= _ZERO_IN_CHUNK[chunk + 1000 * (rest != 0)]
-    return zero.view(np.uint8)
-
-
 # How `gen` writes a profile, by format: the %-format of a row (n, digits,
-# divisors, tail) and the text between rows; how a digit set is written,
-# before, between and after its digits; and the %-format of the tail of a
-# row from its match mask (digits, count, turn). JSON is written as
-# json.dump(indent=2) writes it: a row is an entry of the "profiles" list.
+# divisors, tail); how a digit set is written, before, between and after its
+# digits; and the %-format of the tail of a row from its match mask (digits,
+# count, turn). JSON is written as json.dump(indent=2) writes it: a row is an
+# entry of the "profiles" list, after a comma.
 _PROFILE_FORMS = {
-    "csv": ("%d,%s,%s,%s\n", "", ("", "|", ""), "%s,%d,true,%s"),
-    "json": ('    {\n      "n": %d,\n      "digits": %s,\n      "small_divisors": %s,\n'
-             '      %s\n    }', ",\n", ("[\n        ", ",\n        ", "\n      ]"),
+    "csv": ("%d,%s,%s,%s\n", ("", "|", ""), "%s,%d,true,%s"),
+    "json": (',\n    {\n      "n": %d,\n      "digits": %s,\n      "small_divisors": %s,\n'
+             '      %s\n    }', ("[\n        ", ",\n        ", "\n      ]"),
              '"matches": %s,\n      "match_count": %d,\n      "patterned": true,\n'
              '      "turn": "%s"'),
 }
@@ -96,7 +74,7 @@ def _profile_texts(fmt: str) -> Tuple[np.ndarray, np.ndarray]:
     digits, and, as the match mask of a number, the tail of the number's row.
     A mask's digits are its lowest digit and then those of the mask without
     it. Built on the first `gen` call in the format, not at import."""
-    _, _, (before, between, after), tail = _PROFILE_FORMS[fmt]
+    _, (before, between, after), tail = _PROFILE_FORMS[fmt]
     digits, counts = [""], [0]
     for mask in range(1, 1024):
         rest = mask & (mask - 1)
@@ -111,17 +89,16 @@ def _profile_texts(fmt: str) -> Tuple[np.ndarray, np.ndarray]:
 def _profile_rows(fmt: str, blocks: Iterable[tuple]) -> Iterator[str]:
     """The rows of each ``core.profile_blocks`` block in format ``fmt``: every
     cell but n is looked up by mask, and one %-format for the block's rows is
-    applied once. The digit masks leave out the digit 0, which
-    ``_zero_digit`` adds."""
-    row, between = _PROFILE_FORMS[fmt][:2]
+    applied once."""
+    row = _PROFILE_FORMS[fmt][0]
     texts, tails = _profile_texts(fmt)
     for numbers, digits, divisors, matches in blocks:
         cells = [None] * (4 * len(numbers))
         cells[0::4] = numbers.tolist()
-        cells[1::4] = texts[digits | _zero_digit(numbers)].tolist()
+        cells[1::4] = texts[digits].tolist()
         cells[2::4] = texts[divisors].tolist()
         cells[3::4] = tails[matches].tolist()
-        yield between.join([row] * len(numbers)) % tuple(cells)
+        yield row * len(numbers) % tuple(cells)
 
 
 def profile_csv_rows(blocks: Iterable[tuple]) -> Iterator[str]:
@@ -131,14 +108,14 @@ def profile_csv_rows(blocks: Iterable[tuple]) -> Iterator[str]:
 
 def _json_list(key: str, blocks: Iterable[str]) -> Iterator[str]:
     """The `"key": [...]` member of a top-level object as json.dump(indent=2)
-    writes it, from blocks of items at indent 4, each block joined by ",\n"."""
+    writes it, from blocks of items at indent 4, each item after a ",\n"."""
     yield f'  "{key}": ['
-    between = "\n"
+    first = True
     for text in blocks:
         if text:
-            yield between + text
-            between = ",\n"
-    yield "]" if between == "\n" else "\n  ]"
+            yield "\n" + text[2:] if first else text
+            first = False
+    yield "]" if first else "\n  ]"
 
 
 def profile_json(limit: int, blocks: Iterable[tuple]) -> Iterator[str]:
@@ -150,26 +127,29 @@ def profile_json(limit: int, blocks: Iterable[tuple]) -> Iterator[str]:
     yield "\n}\n"
 
 
-# By parity, the bytes of a `turns` CSV line's format and of a JSON list item
-# with the comma after it; each has the same width for either label.
-_TURN_CSV_LINES, _TURN_JSON_ITEMS = (
-    np.frombuffer("".join(form % label for label in TURN_OF_PARITY).encode(), np.uint8)
-    .reshape(2, -1)
-    for form in ("%%d,%%d,%s\n", '    "%s",\n')
-)
+def _coded_lines(forms: Sequence[str], codes: np.ndarray, *columns: np.ndarray) -> Iterator[str]:
+    """Lines of integer columns, a block of BLOCK_MAX at a time: line i's
+    %-format is ``forms[codes[i]]``, for a uint8 or bool array of codes, and
+    the block's formats, joined, are applied once to its cells, line by line."""
+    forms = np.array(forms, dtype=object)
+    for start in range(0, len(codes), BLOCK_MAX):
+        block = slice(start, start + BLOCK_MAX)
+        cells = np.empty((len(codes[block]), len(columns)), dtype=np.int64)
+        for j, column in enumerate(columns):
+            cells[:, j] = column[block]
+        yield "".join(forms[codes[block].view(np.uint8)].tolist()) % tuple(cells.ravel().tolist())
+
+
+# By parity, a `turns` CSV line's format and a JSON list item after its comma.
+_TURN_LINES = tuple("%%d,%%d,%s\n" % label for label in TURN_OF_PARITY)
+_TURN_ITEMS = tuple(',\n    "%s"' % label for label in TURN_OF_PARITY)
 
 
 def turn_csv_rows(members: Members) -> Iterator[str]:
-    """`turns` CSV lines of a member scan, a block at a time: each line's
-    format is picked by the member's parity, and the block's index and
-    number columns are applied to them once."""
+    """`turns` CSV lines of a member scan, each line's format picked by the
+    member's parity."""
     parity = members.turns
-    for block in _block_slices(len(parity)):
-        cells = np.empty((block.stop - block.start, 2), dtype=np.int64)
-        cells[:, 0] = np.arange(block.start + 1, block.stop + 1)
-        cells[:, 1] = members.numbers[block]
-        lines = str(_TURN_CSV_LINES[parity[block]].tobytes(), "ascii")
-        yield lines % tuple(cells.ravel().tolist())
+    return _coded_lines(_TURN_LINES, parity, np.arange(1, len(parity) + 1), members.numbers)
 
 
 def turn_json(members: Members) -> Iterator[str]:
@@ -177,13 +157,11 @@ def turn_json(members: Members) -> Iterator[str]:
     time: the bytes of ``json.dump({"k": k, "numbers": [...], "turns": [...]},
     indent=2)`` and a newline."""
     parity = members.turns
-    blocks = list(_block_slices(len(parity)))
     yield '{\n  "k": %d,\n' % len(parity)
-    yield from _json_list("numbers", (",\n".join(["    %d"] * (b.stop - b.start))
-                                      % tuple(members.numbers[b].tolist()) for b in blocks))
+    yield from _json_list("numbers", _coded_lines((",\n    %d",), np.zeros_like(parity),
+                                                  members.numbers))
     yield ",\n"
-    yield from _json_list("turns", (str(_TURN_JSON_ITEMS[parity[b]].tobytes()[:-2], "ascii")
-                                    for b in blocks))
+    yield from _json_list("turns", _coded_lines(_TURN_ITEMS, parity))
     yield "\n}\n"
 
 
@@ -191,11 +169,8 @@ _PRIME_LINES = ("%d,gap\n", "%d,patterned\n")  # by the qualifying flag
 
 
 def prime_csv_rows(primes: np.ndarray, qualifies: np.ndarray) -> Iterator[str]:
-    """`primes` CSV lines in prime order: the line formats of a block of
-    primes, joined, are applied once."""
-    for block in _block_slices(len(primes)):
-        lines = "".join([_PRIME_LINES[q] for q in qualifies[block].tolist()])
-        yield lines % tuple(primes[block].tolist())
+    """`primes` CSV lines in prime order."""
+    return _coded_lines(_PRIME_LINES, qualifies, primes)
 
 
 # ---------------------------------------------------------------------------
@@ -461,11 +436,11 @@ _DOT_NODE_LINES = (  # by kind code, the order of graphs.KINDS
 _DOT_EDGE_LINES = ("  %d -> %d;\n", "  %d -> %d [color=steelblue];\n")  # by cluster flag
 
 
-def dag_dot(dag: PatternedDag) -> str:
-    """Graphviz digraph; prime-cluster edges are tinted to stand apart. The
-    line formats, joined in node and edge order, are applied once each."""
+def dag_dot(dag: PatternedDag) -> Iterator[str]:
+    """Graphviz digraph, a block of node or edge lines at a time; prime-cluster
+    edges are tinted to stand apart."""
     edges, cluster = dag.edges
-    node_lines = "".join([_DOT_NODE_LINES[k] for k in dag.kinds.tolist()])
-    edge_lines = "".join([_DOT_EDGE_LINES[c] for c in cluster.tolist()])
-    texts = (node_lines % tuple(dag.nodes.tolist()), edge_lines % tuple(edges.ravel().tolist()))
-    return "digraph patterned {\n  rankdir=LR;\n%s%s}\n" % texts
+    yield "digraph patterned {\n  rankdir=LR;\n"
+    yield from _coded_lines(_DOT_NODE_LINES, dag.kinds, dag.nodes)
+    yield from _coded_lines(_DOT_EDGE_LINES, cluster, edges[:, 0], edges[:, 1])
+    yield "}\n"

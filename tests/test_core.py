@@ -378,7 +378,7 @@ class TestBlockClassifier:
         digits, matches = classify_block(numbers)
         for n, d, m in zip(numbers.tolist(), digits.tolist(), matches.tolist()):
             p = profile(n)
-            assert d == sum(1 << int(c) for c in set(str(n)) - {"0"})
+            assert d == sum(1 << int(c) for c in set(str(n)))
             assert p.digits == {int(c) for c in str(n)}
             assert (m != 0) == is_patterned_digit_first(n) == is_patterned_divisor_first(n)
             assert bin(m).count("1") == oracle_match_count(n) == p.match_count

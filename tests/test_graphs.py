@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from patterned import graphs
 from patterned.core import (
+    BLOCK_MAX,
+    count_patterned,
     is_patterned_divisor_first,
     is_patterned_prime,
     is_prime,
@@ -154,7 +156,7 @@ FLAG_SETS = list(itertools.product((False, True), repeat=3))
 
 def assert_matches_oracle(limit, flags):
     dag, oracle = build_dag(limit, *flags), oracle_build_dag(limit, *flags)
-    assert dag_dot(dag) == oracle_dot(oracle)
+    assert "".join(dag_dot(dag)) == oracle_dot(oracle)
     assert verify_acyclic_and_sort(dag) == oracle_sort(oracle)
 
 
@@ -164,6 +166,16 @@ class TestAgainstOracle:
         "limit", [2, 3, 19, 1023, 1024, 1025, 1026, 5119, 5120, 5121, 15000]
     )
     def test_dot_and_order_match(self, limit, flags):
+        assert_matches_oracle(limit, flags)
+
+    @pytest.mark.parametrize("flags", FLAG_SETS)
+    @pytest.mark.parametrize("nodes", [BLOCK_MAX - 1, BLOCK_MAX, BLOCK_MAX + 1])
+    def test_dot_at_node_block_edges(self, nodes, flags):
+        """The DOT is written a block of BLOCK_MAX node lines at a time; the
+        limits are the qualifying numbers, with the gap primes if drawn, that
+        make the nodes one short of a block, one block and one past it."""
+        limit = {False: 18805, True: 18139}[flags[2]] + nodes - BLOCK_MAX
+        assert count_patterned(limit) + flags[2] * len(gap_primes(limit)) == nodes
         assert_matches_oracle(limit, flags)
 
     @settings(max_examples=30, deadline=None)

@@ -232,6 +232,17 @@ class TestOtherRows:
                       + [(p, "gap") for p in (23, 29)])
         assert run(capsys, "primes", "--limit", 30) == ref_csv(("p", "group"), rows)
 
+    @pytest.mark.parametrize("count", [16383, 16384, 16385, 32769])
+    def test_primes_block_edges(self, capsys, count):
+        """The lines are written a block of BLOCK_MAX primes at a time; the
+        limit is the count-th prime, so the last block is one short of full,
+        full, or one prime long."""
+        primes = core.primes_up_to(400_000)[:count]
+        assert len(primes) == count
+        lines = "".join("%d,%s\n" % (p, "patterned" if core.is_patterned_prime(p, True) else "gap")
+                        for p in primes)
+        assert run(capsys, "primes", "--limit", primes[-1]) == "p,group\n" + lines
+
     def test_seahorse_flags(self, capsys):
         rows = [(w, len(w), r.max_turn_run_ok, r.single_region_ok, r.reflection_ok,
                  r.is_seahorse) for w, r in curves.scan_turn_words(6)]
