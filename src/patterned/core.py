@@ -122,10 +122,12 @@ def classify_block(numbers: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     The digit 0 is in a digit mask but in no match mask.
     """
     rest, chunk = np.divmod(numbers, 1000)
-    digits = _CHUNK_MASKS[chunk + 1000 * (rest != 0)]
+    np.add(chunk, 1000, out=chunk, where=rest != 0)  # a chunk below the top
+    digits = _CHUNK_MASKS[chunk]
     while np.count_nonzero(rest):
         rest, chunk = np.divmod(rest, 1000)
-        digits |= _CHUNK_MASKS[chunk + 1000 * (rest != 0)]
+        np.add(chunk, 1000, out=chunk, where=rest != 0)
+        digits |= _CHUNK_MASKS[chunk]
     return digits, digits & _DIVISOR_MASKS[numbers % 2520]
 
 
@@ -361,18 +363,17 @@ def scan_members(limit: Optional[int] = None, k: Optional[int] = None) -> Member
 
 
 def turn_parity(turns: Iterable[str]) -> np.ndarray:
-    """The parity of a turn word given as labels, "L" and "R" in any iterable: the one
-    way labels enter. A parity array as this module makes them passes as it is: 1-D
-    uint8 0s and 1s, read-only, and owning its memory or a view of a read-only owner."""
-    if isinstance(turns, np.ndarray) and turns.ndim == 1 and turns.dtype == np.uint8:
-        owner = turns if turns.base is None else turns.base
-        if (isinstance(owner, np.ndarray) and owner.base is None and not owner.flags.writeable
-                and not turns.flags.writeable and not (turns.size and turns.max() > 1)):
-            return turns
-    labels = tuple(turns)
-    parity = np.fromiter(map(_PARITY_OF_LABEL.get, labels, repeat(2)), np.uint8, len(labels))
-    if len(labels) and parity.max() > 1:  # 2 marks a label that is neither; argmax the first
-        raise ValueError(f"turn label must be 'L' or 'R', got {labels[parity.argmax()]!r}")
+    """The parity of a turn word, read-only: the one way labels enter. A 1-D uint8
+    array of 0s and 1s is a parity array and is copied; anything else is read as
+    "L"/"R" labels, a str or any iterable, so a byte string's letters fail."""
+    if (isinstance(turns, np.ndarray) and turns.ndim == 1 and turns.dtype == np.uint8
+            and not (turns.size and turns.max() > 1)):
+        parity = turns.copy()
+    else:
+        labels = tuple(turns)
+        parity = np.fromiter(map(_PARITY_OF_LABEL.get, labels, repeat(2)), np.uint8, len(labels))
+        if len(labels) and parity.max() > 1:  # 2 marks a label that is neither; argmax the first
+            raise ValueError(f"turn label must be 'L' or 'R', got {labels[parity.argmax()]!r}")
     parity.flags.writeable = False
     return parity
 
@@ -380,19 +381,6 @@ def turn_parity(turns: Iterable[str]) -> np.ndarray:
 def turn_labels(parity: np.ndarray) -> List[str]:
     """The labels of a parity array, by ``TURN_OF_PARITY``: the one way labels leave."""
     return list(_LABEL_BYTES[parity].tobytes().decode())
-
-
-class TurnWordField:
-    """A dataclass field read as a tuple of labels: what is set is kept in the owner's
-    ``parity`` as given, for the owner's check to pass it through :func:`turn_parity`."""
-
-    def __get__(self, instance, owner=None):
-        if instance is None:  # a dataclass asking for a default: there is none
-            raise AttributeError("a turn word has no default")
-        return tuple(turn_labels(instance.parity))
-
-    def __set__(self, instance, turns):
-        vars(instance)["parity"] = turns
 
 
 def patterned_sequence(limit: int) -> list:
@@ -424,12 +412,8 @@ def count_and_density(limit: int) -> DensityReport:
     return DensityReport(limit=limit, count=count, density=count / limit)
 
 
-def site_energies(
-    members: Members,
-    alpha: float = 1.0,
-    beta: float = 0.5,
-) -> Tuple[List[float], List[str]]:
-    """Site energies and turn labels along a :class:`Members` scan.
+def site_energies(members: Members, alpha: float = 1.0, beta: float = 0.5) -> List[float]:
+    """Site energies along a :class:`Members` scan.
 
     Each member's energy is alpha * match_count, plus beta when its turn
     repeats the turn of the member before it (a straight run of identical
@@ -443,4 +427,4 @@ def site_energies(
     before = np.concatenate(([2], parity[:-1]))
     with np.errstate(over="ignore"):  # as in float arithmetic, a sum past the range is inf
         energies = float(alpha) * counts + float(beta) * (parity == before)
-    return energies.tolist(), turn_labels(parity)
+    return energies.tolist()

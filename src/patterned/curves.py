@@ -2,10 +2,10 @@
 
 A turn word is traced as a turtle path on the integer grid: advance one unit,
 then rotate the heading 90 degrees left or right. A curve is one read-only
-int64 array of its vertices and its turn word as ``core``'s parity. The module
-also provides planar statistics, the seahorse classification, rigid motions of
-the lattice, the curve-doubling iteration, and tessellations built from
-rigid-motion copies. No command calls its oracles: the checked constructor
+int64 array of its vertices and its turn word ``turns`` as ``core``'s parity.
+The module also provides planar statistics, the seahorse classification, rigid
+motions of the lattice, the curve-doubling iteration, and tessellations built
+from rigid-motion copies. No command calls its oracles: the checked constructor
 ``LatticeCurve(...)`` with :func:`curve_from_vertices`, the region counters
 :func:`bounded_regions_euler` and :func:`region_count_flood`, and
 :func:`is_seahorse`.
@@ -19,7 +19,7 @@ from typing import Iterable, List, Tuple
 
 import numpy as np
 
-from .core import TurnWordField, turn_parity
+from .core import turn_parity
 from .errors import ResourceLimitError
 
 Point = Tuple[int, int]
@@ -45,15 +45,15 @@ def _step_headings(path: np.ndarray) -> np.ndarray:
     return _HEADING_OF_STEP[steps[:, 0], steps[:, 1]]
 
 
-def _hold(curve, path: np.ndarray, parity: np.ndarray, final_heading: str):
-    """Bound ``path``, make it and ``parity`` read-only and store them, not copies, on ``curve``.
+def _hold(curve, path: np.ndarray, turns: np.ndarray, final_heading: str):
+    """Bound ``path``, make it and ``turns`` read-only and store them, not copies, on ``curve``.
     Builders' int64 arithmetic is exact modulo 2**64, so a wrapped value lands within +-2**62 only
     from a true one >= 3 * 2**62, far past a point within +-2**62 plus a shift or n unit steps."""
     lo, hi = path.min(), path.max()
     if not -COORD_BOUND <= lo <= hi <= COORD_BOUND:
         raise ValueError(f"coordinates must be within +-2**62, got {lo}..{hi}")
-    path.flags.writeable = parity.flags.writeable = False
-    vars(curve).update(path=path, parity=parity, final_heading=final_heading)
+    path.flags.writeable = turns.flags.writeable = False
+    vars(curve).update(path=path, turns=turns, final_heading=final_heading)
     return curve
 
 
@@ -62,18 +62,17 @@ class LatticeCurve:
     """Ordered unit-step path on the integer grid.
 
     ``path`` is the curve: its n + 1 vertices as one read-only ``(n + 1, 2)``
-    int64 array. ``final_heading`` is the exit heading after the last turn. The
-    turn word, given as labels or ``core``'s parity, is held as the read-only uint8
-    ``parity`` (1 for L, empty for geometrically built curves). A curve is checked
-    once, where its input enters: ``LatticeCurve(...)`` checks all three and keeps
-    its own copy of ``path``; builders check their arguments and keep the arrays
-    they built. ``source_turns`` (the labels), ``vertices``, ``headings``, ``start``,
-    ``end`` and ``edge_set()`` are views derived on each read. Two curves are equal
-    when their paths, turns and exits are.
+    int64 array. ``turns`` is the turn word, given as labels or ``core``'s parity
+    and held as the read-only uint8 parity (1 for L, empty for geometrically built
+    curves). ``final_heading`` is the exit heading after the last turn. A curve is
+    checked once, where its input enters: ``LatticeCurve(...)`` checks all three and
+    keeps its own copies; builders check their arguments and keep the arrays they
+    built. ``vertices``, ``headings``, ``start``, ``end`` and ``edge_set()`` are views
+    derived on each read. Two curves are equal when their paths, turns and exits are.
     """
 
     path: np.ndarray
-    source_turns: Tuple[str, ...] = TurnWordField()
+    turns: np.ndarray
     final_heading: str
 
     def __post_init__(self):
@@ -82,24 +81,23 @@ class LatticeCurve:
             raise ValueError("a curve needs at least one vertex")
         if path.dtype != np.int64 or path.shape[1:] != (2,):
             raise ValueError(f"path must be (n + 1, 2) int64, got {path.shape} {path.dtype}")
-        turns = self.parity  # as given; held once checked, below
-        _hold(self, path, _NO_TURNS, self.final_heading)  # bounded before its steps
+        parity = turn_parity(self.turns)
+        _hold(self, path, parity, self.final_heading)  # bounded before its steps
         if self.final_heading not in HEADINGS:
             raise ValueError(f"bad final heading {self.final_heading!r}")
         steps = _step_headings(path)
         if (steps < 0).any():
             (ax, ay), (bx, by) = path[np.argmin(steps):][:2].tolist()
             raise ValueError(f"non-unit step ({ax},{ay})->({bx},{by})")
-        if len(turns) and len(turns) != len(steps):
+        if len(parity) and len(parity) != len(steps):
             raise ValueError("turn/segment count mismatch")
-        parity = vars(self)["parity"] = turn_parity(turns)
         exits = np.concatenate((steps[1:], [HEADINGS.index(self.final_heading)]))
         if len(parity) and ((exits - steps) % 4 != 3 - 2 * parity).any():  # +1 for L, +3 for R
             raise ValueError("heading transition inconsistent with turn word")
 
     def __eq__(self, other):
         return isinstance(other, LatticeCurve) and np.array_equal(self.path, other.path) and (
-            np.array_equal(self.parity, other.parity) and self.final_heading == other.final_heading)
+            np.array_equal(self.turns, other.turns) and self.final_heading == other.final_heading)
 
     @property
     def vertices(self) -> Tuple[Point, ...]:
@@ -198,12 +196,10 @@ def curve_from_vertices(vertices: Iterable[Point]) -> LatticeCurve:
     return LatticeCurve(path, _NO_TURNS, _last_step_heading(path))
 
 
-def max_run_length(turns) -> int:
-    """Length of the longest run of equal adjacent turns, labels or a parity
-    array; 0 for none."""
-    word = turns if isinstance(turns, np.ndarray) else np.fromiter(turns, object)
-    ends = np.flatnonzero(word[1:] != word[:-1])  # the last index of every run but the last
-    return int(np.diff(ends, prepend=-1, append=len(word) - 1).max())
+def max_run_length(parity: np.ndarray) -> int:
+    """Length of the longest run of equal adjacent turns in a parity array; 0 for none."""
+    ends = np.flatnonzero(parity[1:] != parity[:-1])  # the last index of every run but the last
+    return int(np.diff(ends, prepend=-1, append=len(parity) - 1).max())
 
 
 def _graph_components(adjacency: dict) -> int:
@@ -335,7 +331,7 @@ def curve_stats(curve: LatticeCurve) -> CurveStats:
         revisited_vertex_count=revisits,
         bounded_region_count=edges - (len(keys) - len(repeats)) + 1,
         bounding_box=tuple(map(int, box)),
-        max_turn_run=max_run_length(curve.parity),
+        max_turn_run=max_run_length(curve.turns),
     )
 
 
@@ -391,11 +387,11 @@ def _moved(path: np.ndarray, matrix: Tuple[int, int, int, int], shift) -> np.nda
 
 def apply_motion(curve: LatticeCurve, motion: RigidMotion) -> LatticeCurve:
     """Transform a curve by a rigid motion; turn chirality flips under reflection."""
-    parity = curve.parity ^ 1 if motion.reflect else curve.parity
+    turns = curve.turns ^ 1 if motion.reflect else curve.turns
     dx, dy = motion.apply_vector(_STEPS[HEADINGS.index(curve.final_heading)])
     path = _moved(curve.path, motion.matrix, motion.translation)
     exit_heading = HEADINGS[_HEADING_OF_STEP[dx + 2, dy + 2]]
-    return _hold(object.__new__(LatticeCurve), path, parity, exit_heading)
+    return _hold(object.__new__(LatticeCurve), path, turns, exit_heading)
 
 
 def iterate_dragon(
@@ -562,7 +558,7 @@ def is_seahorse(curve: LatticeCurve) -> SeahorseReport:
     3. Some lattice reflection maps the edge set onto itself while sending
        the start vertex to the end vertex (head-tail symmetry).
     """
-    if not len(curve.parity):
+    if not len(curve.turns):
         raise ValueError("seahorse classification needs a curve traced from a turn word")
     stats = curve_stats(curve)
     return SeahorseReport(

@@ -27,7 +27,6 @@ import numpy as np
 from .core import (
     TURN_LEFT,
     TURN_RIGHT,
-    TurnWordField,
     scan_members,
     site_energies,
     turn_parity,
@@ -243,15 +242,16 @@ def run_walk(
 # site energies and the single-excitation chain
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OscillatorChain:
-    """Chain parameters: site frequencies, turn-selected couplings, mix s. ``turns``
-    (labels or ``core``'s parity, one per adjacent pair) is held as ``parity``."""
+    """Chain parameters: site frequencies, turn-selected couplings, mix s. ``turns``,
+    one per adjacent pair, is given as labels or ``core``'s parity and held as the
+    read-only parity. Two chains are equal when all five are."""
 
     omegas: Tuple[float, ...]
     g_L: float
     g_R: float
-    turns: Tuple[str, ...] = TurnWordField()
+    turns: np.ndarray
     s: float
 
     def __post_init__(self):
@@ -259,18 +259,22 @@ class OscillatorChain:
             raise ValueError("chain needs at least one site")
         if any(not (w > 0) for w in self.omegas):
             raise ValueError("site frequencies must be positive")
-        turns = self.parity  # as given
+        try:
+            turns = vars(self)["turns"] = turn_parity(self.turns)
+        except ValueError:
+            raise ValueError("turn labels must be 'L' or 'R'") from None
         if len(turns) != len(self.omegas) - 1:
             raise ValueError(
                 f"need one turn per adjacent pair: {len(self.omegas) - 1}, "
                 f"got {len(turns)}"
             )
-        try:
-            vars(self)["parity"] = turn_parity(turns)
-        except ValueError:
-            raise ValueError("turn labels must be 'L' or 'R'") from None
         if not 0.0 <= self.s <= 1.0:
             raise ValueError(f"s must be in [0, 1], got {self.s}")
+
+    def __eq__(self, other):
+        return isinstance(other, OscillatorChain) and np.array_equal(self.turns, other.turns) and (
+            self.omegas, self.g_L, self.g_R, self.s) == (
+                other.omegas, other.g_L, other.g_R, other.s)
 
     @property
     def n_sites(self) -> int:
@@ -308,7 +312,7 @@ def patterned_chain(
         raise ValueError(f"omega must be finite and > 0, got {omega}")
     members = scan_members(k=n_sites)
     if omega_mode == OMEGA_FROM_ENERGY:
-        omegas = site_energies(members, alpha, beta)[0]
+        omegas = site_energies(members, alpha, beta)
         bad = min(omegas) if min(omegas) <= 0 else max(omegas)
         if not 0 < bad < math.inf:
             raise ValueError(f"alpha {alpha} and beta {beta} give a site energy of {bad}; "
@@ -327,7 +331,7 @@ def patterned_chain(
 def _hamiltonian_at(chain: OscillatorChain):
     """H(s) of the chain for any s, from bands built once (the chain's s unused)."""
     omegas = np.asarray(chain.omegas, dtype=float)
-    couplings = np.where(chain.parity, float(chain.g_L), float(chain.g_R))
+    couplings = np.where(chain.turns, float(chain.g_L), float(chain.g_R))
     return lambda s: SymTridiag(diag=(1.0 - s) * omegas, offdiag=s * couplings)
 
 

@@ -27,7 +27,7 @@ from typing import IO, Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
 
-from .core import BLOCK_MAX, TURN_OF_PARITY, Members
+from .core import BLOCK_MAX, TURN_OF_PARITY, Members, turn_labels
 from .curves import LatticeCurve, Tessellation, distinct_ranks
 from .graphs import PatternedDag
 
@@ -82,7 +82,7 @@ def _profile_texts(fmt: str) -> Tuple[np.ndarray, np.ndarray]:
         digits.append(lowest + between + digits[rest] if rest else lowest)
         counts.append(counts[rest] + 1)
     texts = [before + d + after for d in digits]
-    tails = [tail % (t, c, TURN_OF_PARITY[c & 1]) for t, c in zip(texts, counts)]
+    tails = [tail % row for row in zip(texts, counts, turn_labels(np.array(counts) & 1))]
     return np.array(texts, dtype=object), np.array(tails, dtype=object)
 
 

@@ -282,13 +282,13 @@ class TestSiteEnergy:
 
     def test_repeat_turn_penalty(self):
         # 2 turns L, as 1 before it does
-        assert site_energies(scan_members(limit=2), alpha=1, beta=1)[0] == [1.0, 2.0]
+        assert site_energies(scan_members(limit=2), alpha=1, beta=1) == [1.0, 2.0]
 
     def test_no_predecessor(self):
-        assert site_energies(scan_members(k=1), alpha=1, beta=1)[0] == [1.0]
+        assert site_energies(scan_members(k=1), alpha=1, beta=1) == [1.0]
 
     def test_beta_zero_disables_penalty(self):
-        assert site_energies(scan_members(limit=12), alpha=1, beta=0)[0][-1] == 2.0
+        assert site_energies(scan_members(limit=12), alpha=1, beta=0)[-1] == 2.0
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_rejects_non_finite_weights(self, bad):
@@ -299,9 +299,9 @@ class TestSiteEnergy:
 
     def test_monotone_in_alpha_and_beta(self):
         members = scan_members(limit=100)
-        base = site_energies(members, alpha=1.0, beta=1.0)[0]
+        base = site_energies(members, alpha=1.0, beta=1.0)
         for alpha, beta in ((2.0, 1.0), (1.0, 2.0)):
-            energies = site_energies(members, alpha=alpha, beta=beta)[0]
+            energies = site_energies(members, alpha=alpha, beta=beta)
             assert all(e >= b for e, b in zip(energies, base))
 
 
@@ -309,7 +309,8 @@ class TestSiteEnergies:
     @pytest.mark.parametrize("alpha, beta", [(1.0, 0.5), (0.3, 1.7), (2, 0)])
     def test_matches_naive_energies(self, alpha, beta):
         members = patterned_sequence(500)
-        energies, turns = site_energies(scan_members(limit=500), alpha, beta)
+        scan = scan_members(limit=500)
+        energies, turns = site_energies(scan, alpha, beta), core.turn_labels(scan.turns)
         prev = None
         for n, energy, label in zip(members, energies, turns):
             matches = sum(1 for c in set(str(n)) if c != "0" and n % int(c) == 0)
@@ -322,8 +323,7 @@ class TestSiteEnergies:
         # the scan classifies each member once; the energies read its masks
         members = scan_members(limit=100)
         monkeypatch.setattr(core, "classify_block", None)
-        energies, turns = site_energies(members)
-        assert len(energies) == len(turns) == len(members.numbers) == 69
+        assert len(site_energies(members)) == len(members.numbers) == 69
 
 
 def oracle_match_count(n):

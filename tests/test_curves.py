@@ -89,7 +89,7 @@ class TestCurveValidation:
             with pytest.raises(ValueError, match=rf"non-unit step \(0,0\)->\({x},{y}\)"):
                 curve_from_vertices([(0, 0), (x, y)])
         with pytest.raises(ValueError, match="non-unit step"):
-            LatticeCurve(path=((0, 0), (-2, 0)), source_turns=(), final_heading="W")
+            LatticeCurve(path=((0, 0), (-2, 0)), turns=(), final_heading="W")
         with pytest.raises(ValueError, match="non-unit step"):  # a step of 2**63 wraps to -2**63
             curve_from_vertices([(-(2**62), 0), (2**62, 0)])
 
@@ -99,7 +99,7 @@ class TestCurveValidation:
 
     def test_no_vertices_rejected(self):
         with pytest.raises(ValueError, match="at least one vertex"):
-            LatticeCurve(path=(), source_turns=(), final_heading="E")
+            LatticeCurve(path=(), turns=(), final_heading="E")
         with pytest.raises(ValueError, match="at least one vertex"):
             curve_from_vertices([])
 
@@ -107,11 +107,11 @@ class TestCurveValidation:
         for vertices in (((0, 0), (0, 0)), ((0, 0), (1, 0), (1, 2)), ((5, 5), (4, 4))):
             (ax, ay), (bx, by) = vertices[-2:]
             with pytest.raises(ValueError, match=rf"non-unit step \({ax},{ay}\)->\({bx},{by}\)"):
-                LatticeCurve(path=vertices, source_turns=(), final_heading="E")
+                LatticeCurve(path=vertices, turns=(), final_heading="E")
 
     def test_bad_turn_label_rejected(self):
         with pytest.raises(ValueError, match="turn label must be 'L' or 'R', got 'X'"):
-            LatticeCurve(path=((0, 0), (1, 0)), source_turns=("X",), final_heading="E")
+            LatticeCurve(path=((0, 0), (1, 0)), turns=("X",), final_heading="E")
         with pytest.raises(ValueError, match="got 'X'"):
             trace("LXR")
 
@@ -119,22 +119,22 @@ class TestCurveValidation:
         with pytest.raises(ValueError, match="inconsistent with turn word"):
             LatticeCurve(
                 path=((0, 0), (1, 0), (2, 0)),
-                source_turns=("L", "L"),
+                turns=("L", "L"),
                 final_heading="N",
             )
         # the last turn must give the exit heading
         with pytest.raises(ValueError, match="inconsistent with turn word"):
-            LatticeCurve(path=((0, 0), (1, 0)), source_turns=("L",), final_heading="S")
+            LatticeCurve(path=((0, 0), (1, 0)), turns=("L",), final_heading="S")
         with pytest.raises(ValueError, match="turn/segment count mismatch"):
-            LatticeCurve(path=((0, 0), (1, 0)), source_turns=("L", "L"), final_heading="N")
+            LatticeCurve(path=((0, 0), (1, 0)), turns=("L", "L"), final_heading="N")
 
     def test_bad_final_heading_rejected(self):
         for final in ("Q", "e", None):
             with pytest.raises(ValueError, match="bad final heading"):
-                LatticeCurve(path=((0, 0),), source_turns=(), final_heading=final)
+                LatticeCurve(path=((0, 0),), turns=(), final_heading=final)
 
     def test_headings_derived_from_vertices(self):
-        c = LatticeCurve(path=((0, 0), (1, 0), (1, 1), (0, 1)), source_turns=(),
+        c = LatticeCurve(path=((0, 0), (1, 0), (1, 1), (0, 1)), turns=(),
                          final_heading="S")
         assert c.headings == ("E", "N", "W")
         assert trace("LLRR").headings == ("E", "N", "W", "N")
@@ -162,7 +162,7 @@ class TestCurveValidation:
     def test_path_must_be_an_int64_pair_array(self):
         for path in (np.zeros((2, 2)), np.zeros((2, 3), np.int64), np.zeros(2, np.int64)):
             with pytest.raises(ValueError, match=r"path must be \(n \+ 1, 2\) int64, got"):
-                LatticeCurve(path=path, source_turns=(), final_heading="E")
+                LatticeCurve(path=path, turns=(), final_heading="E")
 
 
 class TestVertexArray:
@@ -179,7 +179,7 @@ class TestVertexArray:
 
     def test_caller_array_cannot_change_the_curve(self):
         path = np.array([[0, 0], [1, 0]], dtype=np.int64)
-        c = LatticeCurve(path=path, source_turns=(), final_heading="E")
+        c = LatticeCurve(path=path, turns=(), final_heading="E")
         assert path.flags.writeable and not c.path.flags.writeable
         path[1] = (5, 5)
         assert c.vertices == ((0, 0), (1, 0))
@@ -301,33 +301,45 @@ class TestParityWord:
         curves_of_word = [trace(word), trace(list(word)), trace(parity)]
         for c in curves_of_word:
             assert c.path.tobytes() == curves_of_word[0].path.tobytes()
-            assert (c.source_turns, c.final_heading) == (tuple(word),
-                                                         curves_of_word[0].final_heading)
+            assert (core.turn_labels(c.turns), c.final_heading) == (
+                list(word), curves_of_word[0].final_heading)
         assert max_run_length(parity) == max((len(m.group()) for m in re.finditer("L+|R+", word)),
                                              default=0)
         mirrored = apply_motion(curves_of_word[2], RigidMotion(reflect=True))
-        assert mirrored.parity.tolist() == [1 - p for p in parity.tolist()]
-        assert mirrored.source_turns == tuple(word.translate(str.maketrans("LR", "RL")))
+        assert mirrored.turns.tolist() == [1 - p for p in parity.tolist()]
+        assert core.turn_labels(mirrored.turns) == list(word.translate(str.maketrans("LR", "RL")))
 
-    def test_core_parity_passes_without_a_copy(self):
-        parity = core.scan_members(k=100).turns
-        assert trace(parity).parity is parity
-        assert core.turn_parity(parity[:-1]).base is parity
-        with pytest.raises(ValueError, match="^turn label must be 'L' or 'R', got "):
-            trace(np.array([1, 0], dtype=np.uint8))  # not core's: read as labels
+    def test_a_parity_array_is_copied(self):
+        parity = np.array([1, 1, 0, 1], dtype=np.uint8)  # a caller's, writable
+        expected = trace("LLRL")
+        built = [trace(parity), LatticeCurve(expected.path, parity, expected.final_heading)]
+        parity[:] = 0
+        for c in built:
+            assert c == expected and not c.turns.flags.writeable
+            with pytest.raises(ValueError):
+                c.turns[0] = 0
+        members = core.scan_members(k=100).turns
+        assert not np.shares_memory(trace(members).turns, members)
+
+    def test_a_generator_of_labels_is_one_word(self):
+        expected = trace("LLRL")
+        assert trace(c for c in "LLRL") == expected
+        assert LatticeCurve(expected.path, (c for c in "LLRL"), expected.final_heading) == expected
 
     def test_other_arrays_are_read_as_labels(self):
-        writable = np.array([1, 0], dtype=np.uint8)
-        view = writable[:]
-        view.flags.writeable = False  # read-only, but its memory is still writable
         big = np.array([128], dtype=np.uint8)
         big.flags.writeable = False
-        for turns, first in ((np.frombuffer(b"LRL", np.uint8), 76), (view, 1), (big, 128)):
+        for turns, first in ((np.frombuffer(b"LRL", np.uint8), 76), (big, 128)):
             message = rf"^turn label must be 'L' or 'R', got {re.escape(repr(np.uint8(first)))}$"
             with pytest.raises(ValueError, match=message):
                 trace(turns)
             with pytest.raises(ValueError, match=message):
                 LatticeCurve(((0, 0), (1, 0)), turns[:1], "S")
+        writable = np.array([1, 0], dtype=np.uint8)
+        view = writable[:]
+        view.flags.writeable = False  # read-only, but its memory is still writable
+        for turns in (writable, view):  # 0s and 1s in uint8, writable or not: a parity array
+            assert trace(turns) == trace("LR")
 
 
 class TestAgainstOracle:
@@ -340,14 +352,15 @@ class TestAgainstOracle:
             c = _traced_from(word, start, heading)
             vertices, headings, final = _oracle_trace(word, start, heading)
             assert (c.vertices, c.headings, c.final_heading) == (vertices, headings, final)
-            assert c.source_turns == tuple(word)
+            assert core.turn_labels(c.turns) == list(word)
             for rotation, reflect in product((0, 90, 180, 270), (False, True)):
                 shift = (rng.randint(-50, 50), rng.randint(-50, 50))
                 motion = RigidMotion(rotation, reflect, shift)
                 moved = apply_motion(c, motion)
                 expected = _oracle_motion(vertices, final, rotation, reflect, shift)
                 assert (moved.vertices, moved.headings, moved.final_heading) == expected
-                assert moved.source_turns == tuple(word.translate(mirror) if reflect else word)
+                assert core.turn_labels(moved.turns) == list(word.translate(mirror) if reflect
+                                                             else word)
                 point = (rng.randint(-20, 20), rng.randint(-20, 20))
                 assert motion.apply_vector(point) == _oracle_motion(
                     [point], "E", rotation, reflect, (0, 0))[0][0]
@@ -383,8 +396,9 @@ def _check_built(build, error, vertices, turns, final):
         return None
     curve = build()
     assert curve.vertices == tuple(vertices) and not curve.path.flags.writeable
-    assert (curve.source_turns, curve.final_heading) == (tuple(turns), final)
-    assert curve == LatticeCurve(curve.path.copy(), curve.source_turns, curve.final_heading)
+    assert (core.turn_labels(curve.turns), curve.final_heading) == (list(turns), final)
+    assert curve == LatticeCurve(curve.path.copy(), core.turn_labels(curve.turns),
+                                 curve.final_heading)
     return curve
 
 
@@ -550,9 +564,9 @@ class TestCurveStats:
             assert stats.unique_edge_count <= stats.segment_count
 
     def test_max_run_length(self):
-        assert max_run_length("") == 0
-        assert max_run_length("LR") == 1
-        assert max_run_length("LLRRRL") == 3
+        assert max_run_length(core.turn_parity("")) == 0
+        assert max_run_length(core.turn_parity("LR")) == 1
+        assert max_run_length(core.turn_parity("LLRRRL")) == 3
 
 
 class TestSeahorse:
@@ -630,7 +644,8 @@ class TestSeahorseScan:
             ]
 
     def test_pruned_search_matches_an_enumeration_to_length_18(self):
-        assert _no_triple_run_words(12) == [w for w in _words(12) if max_run_length(w) <= 2]
+        assert _no_triple_run_words(12) == [
+            w for w in _words(12) if max_run_length(core.turn_parity(w)) <= 2]
         words = _no_triple_run_words(18)
         seahorses, survivors = [], [0] * 18
         for w in words:
@@ -793,9 +808,9 @@ class TestApplyMotion:
 
     def test_reflection_swaps_turn_word(self):
         c = trace("LRLL")
-        assert apply_motion(c, RigidMotion(reflect=True)).source_turns == (
+        assert core.turn_labels(apply_motion(c, RigidMotion(reflect=True)).turns) == [
             "R", "L", "R", "R",
-        )
+        ]
 
     def test_inverse_restores_curve(self):
         c = trace("LLRLLRLLRLLR")
@@ -829,7 +844,7 @@ class TestIterateDragon:
         d = iterate_dragon(c, 1)
         assert d.vertices == ((0, 0), (1, 0), (1, 1))
         assert d.segment_count == 2
-        assert d.source_turns == ()
+        assert core.turn_labels(d.turns) == []
 
     def test_doubling_law(self):
         seed = trace("LLR")

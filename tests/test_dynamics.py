@@ -304,15 +304,15 @@ class TestEnergyLandscape:
     """The diagonal Hamiltonian of the sequence: the site energies of a scan."""
 
     def test_zero_weights(self):
-        assert site_energies(scan_members(limit=50), alpha=0.0, beta=0.0)[0] == [0.0] * len(
+        assert site_energies(scan_members(limit=50), alpha=0.0, beta=0.0) == [0.0] * len(
             patterned_sequence(50)
         )
 
     def test_limit_12_match_counts(self):
-        assert site_energies(scan_members(limit=12), alpha=1.0, beta=0.0)[0] == [1.0] * 11 + [2.0]
+        assert site_energies(scan_members(limit=12), alpha=1.0, beta=0.0) == [1.0] * 11 + [2.0]
 
     def test_diagonal_spectrum_is_energy_multiset(self):
-        energies = site_energies(scan_members(limit=40))[0]  # default weights, all >= 1
+        energies = site_energies(scan_members(limit=40))  # default weights, all >= 1
         tri = SymTridiag(diag=np.array(energies), offdiag=np.zeros(len(energies) - 1))
         spectrum = eigensystem(tri)
         assert np.allclose(spectrum.eigenvalues, np.sort(energies), atol=1e-12)
@@ -331,23 +331,26 @@ class TestOscillatorChain:
         with pytest.raises(ValueError):
             OscillatorChain(omegas=(1.0, 1.0), g_L=1, g_R=1, turns=("L",), s=1.5)
 
-    def test_only_core_parity_passes_as_an_array(self):
-        writable = np.array([1, 0], dtype=np.uint8)
-        view = writable[:]
-        view.flags.writeable = False  # read-only, but its memory is still writable
+    def test_labels_and_parity_arrays_are_one_word(self):
         big = np.array([128, 0], dtype=np.uint8)
         big.flags.writeable = False
-        for turns in (np.frombuffer(b"LR", np.uint8), writable, view, big):
+        for turns in (np.frombuffer(b"LR", np.uint8), big):  # read as labels
             with pytest.raises(ValueError, match="^turn labels must be 'L' or 'R'$"):
                 OscillatorChain(omegas=(1.0,) * 3, g_L=1, g_R=1, turns=turns, s=0.0)
-        parity = scan_members(k=3).turns[:-1]
-        chain = OscillatorChain(omegas=(1.0,) * 3, g_L=1, g_R=1, turns=parity, s=0.0)
-        assert chain.parity is parity and chain.turns == tuple(turn_sequence(2))
+        labels = turn_sequence(2)
+        parity = np.array([label == "L" for label in labels], dtype=np.uint8)  # writable
+        chains = [OscillatorChain(omegas=(1.0,) * 3, g_L=1, g_R=1, turns=turns, s=0.0) for turns
+                  in (tuple(labels), iter(labels), parity, scan_members(k=3).turns[:-1])]
+        parity ^= 1  # a parity array is copied
+        for chain in chains:
+            assert chain == chains[0] and core.turn_labels(chain.turns) == labels
+            with pytest.raises(ValueError):
+                chain.turns[0] = 0
 
     def test_patterned_chain_energy_omegas(self):
         chain = patterned_chain(12, g_L=1.0, g_R=0.5, alpha=1.0, beta=0.0)
         assert chain.omegas == tuple([1.0] * 11 + [2.0])
-        assert chain.turns == tuple(turn_sequence(11))
+        assert core.turn_labels(chain.turns) == turn_sequence(11)
 
     def test_patterned_chain_one_profile_per_site(self, monkeypatch):
         sites = patterned_sequence(100)[:40]
@@ -360,7 +363,7 @@ class TestOscillatorChain:
         chain = patterned_chain(40, g_L=1.0, g_R=0.5)
         assert classified == list(range(1, len(classified) + 1))
         assert set(sites) <= set(classified)
-        assert chain.turns == labels
+        assert tuple(core.turn_labels(chain.turns)) == labels
 
     def test_patterned_chain_constant_omegas(self):
         chain = patterned_chain(5, g_L=1.0, g_R=1.0, omega_mode="constant", omega=2.5)
@@ -395,7 +398,7 @@ class TestHamiltonian:
         chain = patterned_chain(8, g_L=1.0, g_R=0.5, s=1.0)
         tri = build_single_excitation_hamiltonian(chain)
         assert np.array_equal(tri.diag, np.zeros(8))
-        expected = np.array([1.0 if t == "L" else 0.5 for t in chain.turns])
+        expected = np.array([1.0 if t == "L" else 0.5 for t in core.turn_labels(chain.turns)])
         assert np.array_equal(tri.offdiag, expected)
 
     def test_equal_couplings_collapse_turn_dependence(self):

@@ -37,6 +37,7 @@ from patterned.graphs import (
     verify_acyclic_and_sort,
 )
 from patterned.serialize import dag_dot
+from test_serialize import assert_same_lines
 
 PATTERNED_PRIMES_100 = [2, 3, 5, 7, 11, 13, 17, 19, 31, 41, 61, 71]
 GAP_PRIMES_100 = [23, 29, 37, 43, 47, 53, 59, 67, 73, 79, 83, 89, 97]
@@ -156,7 +157,7 @@ FLAG_SETS = list(itertools.product((False, True), repeat=3))
 
 def assert_matches_oracle(limit, flags):
     dag, oracle = build_dag(limit, *flags), oracle_build_dag(limit, *flags)
-    assert "".join(dag_dot(dag)) == oracle_dot(oracle)
+    assert_same_lines("".join(dag_dot(dag)), oracle_dot(oracle))
     assert verify_acyclic_and_sort(dag) == oracle_sort(oracle)
 
 

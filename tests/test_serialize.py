@@ -104,6 +104,15 @@ def run(capsys, *argv):
     return out
 
 
+def assert_same_lines(actual: str, expected: str) -> None:
+    """``actual == expected``, reported by the line count or else the first line
+    that differs: pytest's diff of two long texts can take CPU minutes."""
+    got, want = actual.splitlines(keepends=True), expected.splitlines(keepends=True)
+    assert len(got) == len(want), f"{len(got)} lines, expected {len(want)}"
+    i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), None)
+    assert i is None, f"line {i}: {got[i]!r}, expected {want[i]!r}"
+
+
 def member_block(numbers):
     """One ``_member_blocks`` block holding the qualifying numbers given."""
     numbers = np.array(numbers, dtype=np.int64)
@@ -125,7 +134,7 @@ class TestGen:
                                        21505, 37887, 37888, 37889])
     def test_block_edges(self, capsys, fmt, limit):
         out = run(capsys, "gen", "--limit", limit, "--format", fmt)
-        assert out == ref_gen(fmt, limit, patterned_sequence(limit))
+        assert_same_lines(out, ref_gen(fmt, limit, patterned_sequence(limit)))
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_zeros_and_the_widest_numbers(self, capsys, monkeypatch, fmt):
@@ -225,7 +234,7 @@ class TestOtherRows:
             expected = "index,n,turn\n" + rows
         else:
             expected = json.dumps({"k": k, "numbers": numbers, "turns": turns}, indent=2) + "\n"
-        assert run(capsys, "turns", "--k", k, "--format", fmt) == expected
+        assert_same_lines(run(capsys, "turns", "--k", k, "--format", fmt), expected)
 
     def test_primes(self, capsys):
         rows = sorted([(p, "patterned") for p in (2, 3, 5, 7, 11, 13, 17, 19)]
@@ -241,7 +250,7 @@ class TestOtherRows:
         assert len(primes) == count
         lines = "".join("%d,%s\n" % (p, "patterned" if core.is_patterned_prime(p, True) else "gap")
                         for p in primes)
-        assert run(capsys, "primes", "--limit", primes[-1]) == "p,group\n" + lines
+        assert_same_lines(run(capsys, "primes", "--limit", primes[-1]), "p,group\n" + lines)
 
     def test_seahorse_flags(self, capsys):
         rows = [(w, len(w), r.max_turn_run_ok, r.single_region_ok, r.reflection_ok,

@@ -38,9 +38,9 @@ NOT_RUN_BY_COMMANDS = {
     # the rest of what c01-c12 import
     "core.patterned_sequence", "core.primes_up_to", "core.turn_sequence",
     "graphs.patterned_primes", "graphs.gap_primes",
-    # curve views that the oracles and c01-c12 read; TurnWordField.__get__ is the
-    # label view of LatticeCurve.source_turns and OscillatorChain.turns
-    "core.TurnWordField.__get__", "curves.LatticeCurve.__eq__", "curves.LatticeCurve.vertices",
+    # value equality, which no command compares by, and the curve views that the
+    # oracles and c01-c12 read
+    "curves.LatticeCurve.__eq__", "dynamics.OscillatorChain.__eq__", "curves.LatticeCurve.vertices",
     "curves.LatticeCurve.headings", "curves.LatticeCurve.start", "curves.LatticeCurve.end",
     "curves.LatticeCurve.edge_set", "curves.Tessellation.edge_set",
 }
