@@ -35,11 +35,7 @@ CLAIMED_DENSITY_100 = 0.72
 # about 1 GB at 260 bytes per sweep s_grid point (core.MAX_MEMBERS, at 150
 # per walk site, caps turns --k and the sites and --limit of a chain); curve
 # --k and dragon --max-edges stop at DEFAULT_EDGE_CAP segments, 160 bytes
-# each. dag needs about 125 bytes per integer, as its DOT is written a block
-# at a time (258 MB at its cap), and primes 3.1 (406 MB for JSON, 326 MB for
-# CSV), so both caps are below 1 GB. gen streams its rows and has no cap.
-MAX_DAG_LIMIT = 2_000_000
-MAX_PRIMES_LIMIT = 130_000_000
+# each. graphs and core cap dag and primes; gen streams its rows and has no cap.
 MAX_S_GRID_POINTS = 4_000_000
 
 
@@ -298,7 +294,7 @@ def _cmd_count(cfg: RunConfig) -> int:
 
 
 def _cmd_primes(cfg: RunConfig) -> int:
-    limit = _require(cfg, "limit", MAX_PRIMES_LIMIT)
+    limit = _require(cfg, "limit")
     primes, qualifies = graphs.split_primes(limit)
     fmt = _format(cfg, "csv")
     with _out_stream(cfg.out) as stream:
@@ -393,7 +389,7 @@ def _cmd_tessellate(cfg: RunConfig) -> int:
 
 
 def _cmd_dag(cfg: RunConfig) -> int:
-    limit = _require(cfg, "limit", MAX_DAG_LIMIT)
+    limit = _require(cfg, "limit")
     dag = graphs.build_dag(
         limit,
         include_chain=cfg.chain,

@@ -43,6 +43,10 @@ BLOCK_MAX = 1 << 14
 # bytes a site.
 MAX_MEMBERS = 6_000_000
 
+# The largest sieve, checked before it is allocated: `primes` takes about 3.1
+# bytes per integer, 406 MB for JSON at the cap.
+MAX_PRIMES_LIMIT = 130_000_000
+
 
 @dataclass(frozen=True)
 class DigitDivisorProfile:
@@ -306,6 +310,8 @@ def is_prime(n: int) -> bool:
 
 def prime_array(limit: int) -> np.ndarray:
     """Sieve of Eratosthenes on a bool array; all primes <= limit, ascending, as int64."""
+    if isinstance(limit, int) and limit > MAX_PRIMES_LIMIT:
+        raise ResourceLimitError(f"limit must be <= {MAX_PRIMES_LIMIT}, got {limit}")
     _check_positive(limit, "limit")
     try:
         sieve = np.ones(limit + 1, dtype=bool)
@@ -371,7 +377,12 @@ def turn_parity(turns: Iterable[str]) -> np.ndarray:
         parity = turns.copy()
     else:
         labels = tuple(turns)
-        parity = np.fromiter(map(_PARITY_OF_LABEL.get, labels, repeat(2)), np.uint8, len(labels))
+        try:
+            parity = np.fromiter(map(_PARITY_OF_LABEL.get, labels, repeat(2)), np.uint8,
+                                 len(labels))
+        except TypeError:  # an unhashable label; only a str can be "L" or "R"
+            parity = np.array([_PARITY_OF_LABEL.get(x, 2) if isinstance(x, str) else 2
+                               for x in labels], np.uint8)
         if len(labels) and parity.max() > 1:  # 2 marks a label that is neither; argmax the first
             raise ValueError(f"turn label must be 'L' or 'R', got {labels[parity.argmax()]!r}")
     parity.flags.writeable = False

@@ -578,7 +578,7 @@ def _check_max_len(max_len: int, cap: int) -> None:
     if not isinstance(max_len, int) or max_len < 1:
         raise ValueError(f"max_len must be a positive integer, got {max_len!r}")
     if max_len > cap:
-        raise ResourceLimitError(f"max_len {max_len} exceeds the cap of {cap}")
+        raise ResourceLimitError(f"max_len must be <= {cap}, got {max_len}")
 
 
 def _walk_turn_words(max_len: int, prune: bool):

@@ -14,12 +14,14 @@ from typing import List, Tuple
 import numpy as np
 
 from .core import classify_block, prime_array, scan_members
-from .errors import InvariantError
+from .errors import InvariantError, ResourceLimitError
 
 KIND_PATTERNED_PRIME_SMALL = "patterned_prime_small"
 KIND_PATTERNED_PRIME_DIGIT1 = "patterned_prime_digit1"
 KIND_GAP_PRIME = "gap_prime"
 KIND_PATTERNED_COMPOSITE = "patterned_composite"
+
+MAX_DAG_LIMIT = 2_000_000  # checked before the scan: 125 bytes per integer, 258 MB at the cap
 
 # Node kinds by code: PatternedDag.kinds indexes this tuple.
 KINDS = (
@@ -93,6 +95,8 @@ def build_dag(
     """
     if not isinstance(limit, int) or limit < 2:
         raise ValueError(f"limit must be an integer >= 2, got {limit!r}")
+    if limit > MAX_DAG_LIMIT:
+        raise ResourceLimitError(f"limit must be <= {MAX_DAG_LIMIT}, got {limit}")
     members = scan_members(limit=limit).numbers
     primes, qualifies = split_primes(limit)
     pp, gp = primes[qualifies], primes[~qualifies]

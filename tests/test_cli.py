@@ -7,6 +7,7 @@ import re
 import stat
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from patterned import cli, core, curves, dynamics, graphs, serialize
@@ -279,7 +280,7 @@ class TestSeahorseScan:
         monkeypatch.setattr(curves, "MAX_ALL_WORDS_LEN", 4)
         assert run(capsys, "seahorse-scan", "--max-len", "4", *all_words)[0] == 0
         code, _, err = run(capsys, "seahorse-scan", "--max-len", "5", *all_words)
-        assert code == 2 and err == "error: max_len 5 exceeds the cap of 4\n"
+        assert code == 2 and err == "error: max_len must be <= 4, got 5\n"
 
 
 class TestDragon:
@@ -977,9 +978,10 @@ ROTATIONS = '[{"rotation": 0}, {"rotation": 90}]'
 class TestSizeCaps:
     @pytest.fixture(autouse=True)
     def no_work(self, monkeypatch):
-        for module, name in ((core, "_member_blocks"), (core, "classify_block"),
-                             (core, "prime_array"), (graphs, "prime_array"),
-                             (core, "profile_blocks"), (curves, "trace"), (graphs, "build_dag"),
+        # the dag and primes caps are checked in build_dag and prime_array, before
+        # the scan and before the sieve is allocated by np.ones
+        for module, name in ((core, "_member_blocks"), (core, "classify_block"), (np, "ones"),
+                             (core, "profile_blocks"), (curves, "trace"),
                              (dynamics, "run_walk"), (dynamics, "patterned_chain")):
             monkeypatch.setattr(module, name, _no_work)
 
@@ -990,14 +992,14 @@ class TestSizeCaps:
             (("curve", "--k"), "k", curves.DEFAULT_EDGE_CAP),
             (("dragon", "--generations", "2", "--k"), "k", curves.DEFAULT_EDGE_CAP),
             (("tessellate", "--placements", ROTATIONS, "--k"), "k", curves.DEFAULT_EDGE_CAP),
-            (("dag", "--limit"), "limit", cli.MAX_DAG_LIMIT),
+            (("dag", "--limit"), "limit", graphs.MAX_DAG_LIMIT),
             (("walk", "--steps", "0", "--limit"), "limit", core.MAX_MEMBERS),
             (("modes", "--limit"), "limit", core.MAX_MEMBERS),
             (("sweep", "--limit"), "limit", core.MAX_MEMBERS),
             (("walk", "--steps", "0", "--sites"), "sites", core.MAX_MEMBERS),
             (("modes", "--sites"), "sites", 5000),
             (("sweep", "--sites"), "sites", 5000),
-            (("primes", "--limit"), "limit", cli.MAX_PRIMES_LIMIT),
+            (("primes", "--limit"), "limit", core.MAX_PRIMES_LIMIT),
             (("turns", "--format", "json", "--k"), "k", core.MAX_MEMBERS),
             (("dragon", "--word", "LLR", "--max-edges"), "max_edges", curves.DEFAULT_EDGE_CAP),
         ],
@@ -1010,11 +1012,17 @@ class TestSizeCaps:
         assert err == f"error: {flag} must be <= {cap}, got {cap + over}\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command, cap", [("dag", graphs.MAX_DAG_LIMIT),
+                                              ("primes", core.MAX_PRIMES_LIMIT)])
+    def test_cap_checked_before_the_width(self, capsys, command, cap):
+        code, out, err = run(capsys, command, "--limit", str(10**20))
+        assert (code, out, err) == (2, "", f"error: limit must be <= {cap}, got {10**20}\n")
+
     def test_caps_are_inclusive(self, capsys, monkeypatch):
         monkeypatch.undo()
         monkeypatch.setattr(core, "MAX_MEMBERS", 12)
-        monkeypatch.setattr(cli, "MAX_DAG_LIMIT", 19)
-        monkeypatch.setattr(cli, "MAX_PRIMES_LIMIT", 19)
+        monkeypatch.setattr(graphs, "MAX_DAG_LIMIT", 19)
+        monkeypatch.setattr(core, "MAX_PRIMES_LIMIT", 19)
         monkeypatch.setattr(curves, "DEFAULT_EDGE_CAP", 12)
         for argv, flag, cap in (
             (("turns", "--k"), "k", 12),

@@ -23,7 +23,7 @@ import tempfile
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from patterned import cli, core, curves, tridiag
+from patterned import core, curves, graphs, tridiag
 from patterned.cli import cli_dispatch
 
 INF, NAN = float("inf"), float("nan")
@@ -75,7 +75,7 @@ def chain(sites_cap):
 COMMANDS = {
     "gen": {"limit": ints(1, 13, 500), "format": FORMAT},
     "count": {"limit": ints(1, 100, 10**6 + 1, 2**63 - 1)},
-    "primes": {"limit": ints(1, 2, 500, cap=cli.MAX_PRIMES_LIMIT), "format": FORMAT},
+    "primes": {"limit": ints(1, 2, 500, cap=core.MAX_PRIMES_LIMIT), "format": FORMAT},
     "turns": {"k": ints(1, 12, 300, cap=core.MAX_MEMBERS), "format": FORMAT},
     "curve": CURVE,
     "seahorse-scan": {"max_len": ints(1, 5, 9, 21, cap=curves.MAX_SEAHORSE_LEN),
@@ -83,7 +83,7 @@ COMMANDS = {
     "dragon": {**CURVE, "generations": ints(0, 3, 40),
                "max_edges": ints(1, 64, cap=curves.DEFAULT_EDGE_CAP)},
     "tessellate": {**CURVE, "placements": PLACEMENTS},
-    "dag": {"limit": ints(2, 19, 300, cap=cli.MAX_DAG_LIMIT), "gap_primes": SWITCH},
+    "dag": {"limit": ints(2, 19, 300, cap=graphs.MAX_DAG_LIMIT), "gap_primes": SWITCH},
     "walk": {**chain(core.MAX_MEMBERS), "steps": ints(0, 3),
              "theta_l": reals(0.5), "theta_r": reals(-0.5),
              "initial_site": ints(1, 2), "initial_coin": st.sampled_from(["L", "R", "x"]),

@@ -170,12 +170,18 @@ class TestPrimes:
 
     def test_sieve_out_of_memory_names_the_limit(self):
         # in a child process whose address space is capped at 4 GB: a 10^12
-        # sieve must fail cleanly, with no stray SystemError on stderr
+        # sieve is refused by the cap before it is allocated and, with the cap
+        # lifted, must fail cleanly, with no stray SystemError on stderr
         pytest.importorskip("resource")
         script = (
             "import resource\n"
             "from patterned import core\n"
             "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))\n"
+            "try:\n"
+            "    core.primes_up_to(10**12)\n"
+            "except core.ResourceLimitError as exc:\n"
+            "    print(exc)\n"
+            "core.MAX_PRIMES_LIMIT = 10**12\n"
             "try:\n"
             "    core.primes_up_to(10**12)\n"
             "except MemoryError as exc:\n"
@@ -187,7 +193,9 @@ class TestPrimes:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert "SystemError" not in proc.stderr
-        assert "limit 1000000000000" in proc.stdout
+        assert proc.stdout.splitlines() == [
+            f"limit must be <= {core.MAX_PRIMES_LIMIT}, got 1000000000000",
+            "the sieve up to limit 1000000000000 does not fit in memory"]
 
 
 class TestSequence:

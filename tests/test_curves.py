@@ -341,6 +341,20 @@ class TestParityWord:
         for turns in (writable, view):  # 0s and 1s in uint8, writable or not: a parity array
             assert trace(turns) == trace("LR")
 
+    def test_unhashable_labels_get_the_label_error(self):
+        cases = (([["L"]], ["L"]), (["L", ["L"], "X"], ["L"]), (["L", "X", ["L"]], "X"))
+        for turns, label in cases:
+            message = rf"^turn label must be 'L' or 'R', got {re.escape(repr(label))}$"
+            with pytest.raises(ValueError, match=message):
+                core.turn_parity(turns)
+            with pytest.raises(ValueError, match=message):
+                trace(turns)
+
+    def test_a_2d_array_is_read_as_labels(self):
+        message = r"^turn label must be 'L' or 'R', got array\(\[0, 0\], dtype=uint8\)$"
+        with pytest.raises(ValueError, match=message):
+            core.turn_parity(np.zeros((2, 2), np.uint8))
+
 
 class TestAgainstOracle:
     def test_trace_and_motions_match_the_string_table_oracle(self):

@@ -347,6 +347,11 @@ class TestOscillatorChain:
             with pytest.raises(ValueError):
                 chain.turns[0] = 0
 
+    def test_unhashable_labels_get_the_label_error(self):
+        for turns in ([["L"]], np.zeros((1, 2), np.uint8)):
+            with pytest.raises(ValueError, match="^turn labels must be 'L' or 'R'$"):
+                OscillatorChain(omegas=(1.0,) * 2, g_L=1, g_R=1, turns=turns, s=0.0)
+
     def test_patterned_chain_energy_omegas(self):
         chain = patterned_chain(12, g_L=1.0, g_R=0.5, alpha=1.0, beta=0.0)
         assert chain.omegas == tuple([1.0] * 11 + [2.0])

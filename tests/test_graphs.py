@@ -22,7 +22,7 @@ from patterned.core import (
     prime_array,
     primes_up_to,
 )
-from patterned.errors import InvariantError
+from patterned.errors import InvariantError, ResourceLimitError
 from patterned.graphs import (
     KIND_GAP_PRIME,
     KIND_PATTERNED_COMPOSITE,
@@ -310,6 +310,17 @@ class TestBuildDag:
     def test_rejects_tiny_limit(self):
         with pytest.raises(ValueError):
             build_dag(1)
+
+    def test_cap_checked_before_the_scan(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("work started before the size cap was checked")
+
+        monkeypatch.setattr(graphs, "scan_members", no_work)
+        monkeypatch.setattr(graphs, "prime_array", no_work)
+        cap = graphs.MAX_DAG_LIMIT
+        for limit in (cap + 1, 10**20):
+            with pytest.raises(ResourceLimitError, match=f"^limit must be <= {cap}, got {limit}$"):
+                build_dag(limit)
 
 
 class TestTopologicalSort:

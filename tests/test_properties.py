@@ -27,7 +27,7 @@ from patterned.curves import (
     max_run_length,
     trace,
 )
-from test_serialize import member_block, ref_line, ref_path, ref_profile_row
+from test_serialize import assert_same_lines, member_block, ref_line, ref_path, ref_profile_row
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 int64 = st.integers(min_value=-MAX_INT - 1, max_value=MAX_INT)
@@ -140,3 +140,14 @@ def test_real_table_rows(rows, block):
     with mock.patch.object(serialize, "BLOCK_CELLS", block):
         text = "".join(serialize.real_csv_rows(np.array(rows)))
     assert text == "".join(ref_line([i, *row]) for i, row in enumerate(rows))
+
+
+def test_every_edge_cell():
+    """Every edge cell and its negation in one table of 11 columns, so every
+    exponent's scale and slot code is used on each run, at the three block sizes."""
+    rows = np.array(EDGE_CELLS + [-x for x in EDGE_CELLS]).reshape(-1, 11)
+    assert rows.size == 1298
+    expected = "".join(ref_line([i, *row]) for i, row in enumerate(rows.tolist()))
+    for block in (1, 5, serialize.BLOCK_CELLS):
+        with mock.patch.object(serialize, "BLOCK_CELLS", block):
+            assert_same_lines("".join(serialize.real_csv_rows(rows)), expected)
