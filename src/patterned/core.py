@@ -355,9 +355,9 @@ def scan_members(limit: Optional[int] = None, k: Optional[int] = None) -> Member
     if limit is not None:
         _check_positive(limit, "limit")
     else:
-        _check_positive(k, "k")
-        if k > MAX_MEMBERS:
+        if isinstance(k, int) and k > MAX_MEMBERS:
             raise ResourceLimitError(f"k must be <= {MAX_MEMBERS}, got {k}")
+        _check_positive(k, "k")
     numbers, matches, found = [], [], 0
     for block, _, block_matches in _member_blocks(limit or MAX_INT):
         numbers.append(block)

@@ -323,8 +323,9 @@ def patterned_chain(
     radii = {"g_l": 2 * abs(g_L), "g_r": 2 * abs(g_R), set_by: max(omegas)}
     source = max(radii, key=radii.get)
     if radii[source] > SPECTRUM_BOUND:
+        given = {"g_l": g_L, "g_r": g_R}.get(source, radii[source])  # as given: 2|g| may be inf
         raise ValueError(f"{source} must keep the spectrum's Gershgorin radius "
-                         f"max(max omega, 2 max |g|) within 2**500, got {float(radii[source])!r}")
+                         f"max(max omega, 2 max |g|) within 2**500, got {float(given)!r}")
     return OscillatorChain(omegas=tuple(omegas), g_L=g_L, g_R=g_R, turns=members.turns[:-1], s=s)
 
 

@@ -9,7 +9,7 @@ two halves as lists, which the acceptance checks read.
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -113,9 +113,10 @@ def build_dag(
     )
 
 
-def verify_acyclic_and_sort(dag: PatternedDag) -> List[int]:
+def verify_acyclic_and_sort(dag: PatternedDag, sort: bool = True) -> Optional[List[int]]:
     """Topological order of the DAG: ascending n, once the nodes are checked
     to ascend strictly and every edge to join two nodes and point forward.
+    With ``sort=False`` only the checks run, and None is returned.
 
     Generated graphs can never fail these checks; a failure means the
     construction is broken, so it is an InvariantError, not a ValueError.
@@ -132,5 +133,5 @@ def verify_acyclic_and_sort(dag: PatternedDag) -> List[int]:
         u, v = edges[first].tolist()
         problem = "references a missing node" if missing[first] else "does not point forward"
         raise InvariantError(f"edge ({u}, {v}) {problem}")
-    return nodes.tolist()
+    return nodes.tolist() if sort else None
 

@@ -13,10 +13,11 @@ as soon as it is made. `gen` looks its text cells up by mask in per-mask
 tables and applies one %-format to a block of rows. `gen` and `turns`
 write JSON as the bytes that ``json.dump(indent=2)`` gives. An SVG path
 formats each distinct coordinate once and looks the rest up. The walk's
-probability table is written a block of cells at a time by
-``real_csv_rows``: plain numpy expressions round its zeros and its cells in
-[1e-99, 1) exactly as '%.12g' does, into fixed slots that one byte mask
-cuts, and the few they cannot place exactly go to '%.12g' one by one.
+probability table is written by ``real_csv_rows``, also about BLOCK_MAX
+cells at a time (whole rows, or part of a row wider than that): plain numpy
+expressions round its zeros and its cells in [1e-99, 1) exactly as '%.12g'
+does, into fixed slots that one byte mask cuts, and the few they cannot
+place exactly go to '%.12g' one by one.
 """
 
 import json
@@ -184,7 +185,6 @@ def prime_csv_rows(primes: np.ndarray, qualifies: np.ndarray) -> Iterator[str]:
 # before its cells: "\n", ending the row before, at byte 11 and the row index,
 # zero-padded to 12 digits, after it.
 SLOT = 24
-BLOCK_CELLS = 2048  # cells per block: its slots take about 50 kB (100 kB for one column)
 TINY = 1e-99  # below it the exponent has three digits
 GUARD = 2e-3  # the largest error of m is 3e-4
 _CELL_LEAD = b",0.000?."
@@ -200,42 +200,38 @@ _ZERO, _ROW, _EMPTY, _TEXT = 60, 60, 85, 85
 def _real_tables() -> SimpleNamespace:
     """The lookups of ``real_csv_rows``, built on its first call. Tables by the
     decimal exponent X of a cell are indexed by X + 100, for X in -100..0."""
-    keep = np.zeros((_TEXT + SLOT + 1, SLOT), dtype=bool)
-    for d in range(1, 13):
-        for form in range(4):
-            keep[12 * form + d - 1, [0, 1, 2, *range(3, 3 + form), *range(8, 8 + d)]] = True
-        keep[48 + d - 1, [0, 6, *[7] * (d > 1), *range(9, 8 + d), 20, 21, 22, 23]] = True
-        keep[_ROW + d, SLOT - d:] = True
-        keep[_ROW + 12 + d, [11, *range(SLOT - d, SLOT)]] = True
-    keep[_ZERO, :2] = True
-    for k in range(1, SLOT + 1):
-        keep[_TEXT + k, :k] = True
-    quad = np.arange(10_000, dtype=np.uint16)
-    digits = np.empty((10_000, 4), dtype=np.uint8)
-    for i, place in enumerate((1000, 100, 10, 1)):
-        digits[:, i] = quad // place % 10 + ord("0")
-    trailing = (quad == 0).astype(np.uint8)
-    for place in (10, 100, 1000):
-        trailing += quad % place == 0
-    exponents = range(-100, 1)
+    # keep, a row per slot code: forms 0-3 and 4 by significant digits, +0.0, the row
+    # index by digits without and with the newline, and the first 0..SLOT bytes
+    at, d = np.arange(SLOT), np.arange(1, 13)[:, None]  # the bytes of a slot; digit counts
+    digits = (at >= 8) & (at < 8 + d)
+    fixed = (at < 3 + np.arange(4)[:, None, None]) | digits  # ",0." and form zeros first
+    exponent = (at == 0) | (at == 6) | ((at == 7) & (d > 1)) | (digits & (at > 8)) | (at >= 20)
+    index = at >= SLOT - d
+    # by the four digits of 0..9999, an axis each: its text and its trailing zeros
+    text = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
+    trailing = np.zeros((10, 10, 10, 10), dtype=np.uint8)
+    for place in range(4):
+        text[..., place] = np.arange(10).reshape(-1, *[1] * (3 - place)) + ord("0")
+        trailing[(...,) + (0,) * (place + 1)] = place + 1
+    x = np.arange(-100, 1)
     tables = SimpleNamespace(
-        keep=keep,
-        quads=digits.view(np.uint32).ravel(),  # the 4-digit text of 0..9999
-        trailing=trailing,  # its trailing zeros, 4 for 0
-        scale=np.array([float(10 ** (11 - x)) for x in exponents]),  # correctly rounded
-        code=np.array([12 * min(4, max(0, -1 - x)) + 11 for x in exponents], dtype=np.intp),
-        exp=np.frombuffer(b"".join(b"e-%02d" % min(99, -x) for x in exponents), np.uint32),
+        keep=np.concatenate((fixed.reshape(48, SLOT), exponent, [at < 2], index,
+                             index | (at == 11), at < np.arange(SLOT + 1)[:, None])),
+        quads=text.view(np.uint32).ravel(),  # the 4-digit text of 0..9999
+        trailing=trailing.ravel(),  # its trailing zeros, 4 for 0
+        scale=np.array([float(10 ** (11 - e)) for e in x.tolist()]),  # correctly rounded
+        code=(12 * np.clip(-1 - x, 0, 4) + 11).astype(np.uint8),
+        exp=np.frombuffer(b"".join(b"e-%02d" % min(99, -e) for e in x.tolist()), np.uint32),
     )
     for array in vars(tables).values():
         array.flags.writeable = False  # shared by every call
     return tables
 
 
-def _round_cells(t: SimpleNamespace, x: np.ndarray) -> tuple:
-    """Slot codes and digit groups of a block of cells: (code, hi, mid, lo, ix,
-    bad). ``bad`` marks the cells that '%.12g' must format; hi, mid and lo are
-    the three 4-digit groups of the 12 rounded digits, ix is X + 100, and code
-    counts their significant digits."""
+def _round_cells(t: SimpleNamespace, x: np.ndarray, slots: np.ndarray) -> tuple:
+    """Slot codes of a block of cells, counting their significant digits, and
+    a mask of the cells that '%.12g' must format. The 12 rounded digits, as
+    three 4-digit groups, and "e-XX" go into the cells' ``slots``."""
     # Every index is in range: cells outside [TINY, 1) are rounded as 0.5, so ix
     # is in 0..100, and a bad cell is set to 1e11, so each digit group is < 10**4.
     ok = (x >= TINY) & (x < 1.0)
@@ -245,19 +241,25 @@ def _round_cells(t: SimpleNamespace, x: np.ndarray) -> tuple:
     r = np.rint(m)
     bad = (np.abs(m - r) > 0.5 - GUARD) | (m < 1e11) | (r >= 1e12) | ~ok
     r[bad] = 1e11
-    hi, lo = np.divmod(r.astype(np.intp), 10**8)
-    mid, lo = np.divmod(lo, 10**4)
+    del v, m  # not read again, and a block's float arrays are 130 kB each
+    q = np.floor(r / 1e4)  # r // 10**4, exactly: r is an integer below 1e12
+    hi = np.floor(q / 1e4)
+    hi, mid, lo = (a.astype(np.intp) for a in (hi, q - hi * 1e4, r - q * 1e4))
+    quads = slots.view(np.uint32)
+    for g, (table, i) in enumerate([(t.quads, hi), (t.quads, mid), (t.quads, lo), (t.exp, ix)]):
+        quads[..., 2 + g] = table[i].reshape(quads.shape[:2])  # one group's lookup at a time
+    slots[..., 6] = slots[..., 8]
     # 12 digits less the trailing zeros
     code = t.code[ix] - ((t.trailing[hi] * (mid == 0) + t.trailing[mid]) * (lo == 0)
                          + t.trailing[lo])
     zero = x.view(np.int64) == 0  # +0.0, written "0"
-    return np.where(zero, _ZERO, code), hi, mid, lo, ix, bad & ~zero
+    return np.where(zero, _ZERO, code), bad & ~zero
 
 
 def real_csv_rows(table: np.ndarray) -> Iterator[str]:
     """CSV text of a float table with the row index first: the bytes of
     ``("%d" + ",%.12g" * n + "\\n") % (i, *table[i])`` for every row i, in
-    blocks of about BLOCK_CELLS cells.
+    blocks of about BLOCK_MAX cells.
 
     A cell x in [TINY, 1) is rounded in numpy. With X = floor(log10(x)), its
     digits are m = x * 10**(11 - X) rounded to an integer. The power and the
@@ -273,9 +275,9 @@ def real_csv_rows(table: np.ndarray) -> Iterator[str]:
     t = _real_tables()
     table = np.ascontiguousarray(table, dtype=float)
     rows, n = table.shape
-    span = min(n, BLOCK_CELLS)  # cells of one row in a block
-    per = max(1, min(rows, BLOCK_CELLS // n))  # rows in a block
-    canvas = np.zeros((per, span + 1, SLOT), dtype=np.uint8)  # the slots of every block
+    span = min(n, BLOCK_MAX)  # cells of one row in a block
+    per = max(1, min(rows, BLOCK_MAX // n))  # rows in a block
+    canvas = np.zeros((per, span + 1, SLOT), dtype=np.uint8)  # every block's slots, <= 800 kB
     canvas[:, 0, 11] = ord("\n")
     canvas[:, 1:, :8] = np.frombuffer(_CELL_LEAD, np.uint8)
     # a block is whole rows or part of one row, so its slots are contiguous
@@ -286,11 +288,7 @@ def real_csv_rows(table: np.ndarray) -> Iterator[str]:
             x = table[i0:i1, j0:j1].reshape(-1)
             cells = (i1 - i0, j1 - j0)
             slots = canvas[: cells[0], : cells[1] + 1]
-            cell_code, hi, mid, lo, ix, bad = _round_cells(t, x)
-            quads = slots.view(np.uint32)
-            for g, group in enumerate((t.quads[hi], t.quads[mid], t.quads[lo], t.exp[ix])):
-                quads[:, 1:, 2 + g] = group.reshape(cells)
-            slots[:, 1:, 6] = slots[:, 1:, 8]
+            cell_code, bad = _round_cells(t, x, slots[:, 1:])
             # the row slots
             if j0 == 0:
                 index = "".join(["%012d" % i for i in range(i0, i1)]).encode()
@@ -299,7 +297,7 @@ def real_csv_rows(table: np.ndarray) -> Iterator[str]:
                 row_code = [_ROW + 12 * (i > 0) + len(str(i)) for i in range(i0, i1)]
             else:
                 row_code = [_EMPTY] * cells[0]
-            code = np.column_stack((row_code, cell_code.reshape(cells)))
+            code = np.column_stack((np.array(row_code, np.uint8), cell_code.reshape(cells)))
             # '%.12g' writes the cells it must into their slots
             fallback = np.flatnonzero(bad)
             where = fallback + fallback // cells[1] + 1  # their slots
@@ -310,9 +308,9 @@ def real_csv_rows(table: np.ndarray) -> Iterator[str]:
                 code.reshape(-1)[where] = _TEXT + np.count_nonzero(texts != ord(" "), axis=1)
             # a boolean index, not np.compress, which builds an intp index of 8 bytes
             # per byte kept; np.take gathers the mask 3x as fast as t.keep[code]
-            out = slots.reshape(-1)[np.take(t.keep, code, axis=0).reshape(-1)]
+            text = str(slots.reshape(-1)[np.take(t.keep, code, axis=0).reshape(-1)].data, "ascii")
             slots.reshape(-1, SLOT)[where, :8] = np.frombuffer(_CELL_LEAD, np.uint8)
-            yield str(out.data, "ascii")
+            yield text
     yield "\n"
 
 

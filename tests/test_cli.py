@@ -432,6 +432,20 @@ class TestDag:
         assert code == 0
         assert "23 [shape=box, style=dashed];" in out
 
+    def test_checked_once_without_the_node_list(self, capsys, monkeypatch):
+        verify, results = graphs.verify_acyclic_and_sort, []
+        monkeypatch.setattr(graphs, "verify_acyclic_and_sort",
+                            lambda *args, **kwargs: results.append(verify(*args, **kwargs)))
+        assert run(capsys, "dag", "--limit", "100")[0] == 0
+        assert results == [None]
+
+    def test_broken_construction_exits_3_before_any_output(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(graphs, "_path_edges", lambda ns: np.stack((ns[1:], ns[:-1]), axis=1))
+        out_file = tmp_path / "dag.dot"
+        code, out, err = run(capsys, "dag", "--limit", "19", "--out", str(out_file))
+        assert (code, out, err) == (3, "", "internal error: edge (2, 1) does not point forward\n")
+        assert not out_file.exists()
+
 
 class TestWalk:
     def test_distribution_rows(self, capsys):
@@ -598,6 +612,18 @@ class TestSpectrumBound:
         assert code == 2 and out == "" and not out_file.exists()
         assert re.fullmatch(rf"error: {re.escape(message)} {re.escape(self.RADIUS)}, got \S+\n",
                             err)
+
+    @pytest.mark.parametrize("argv, message", [
+        (("modes", "--g-l", "1e308", "--g-r", "1e308", "--omega-mode", "constant"),
+         "g_l {}, got 1e+308"),
+        (("sweep", "--g-l", "-1e308", "--omega-mode", "constant", "--s-grid", "0.5,1"),
+         "g_l {}, got -1e+308"),
+        (("modes", "--g-r", "-1.6366953039480735e+150"), "g_r {}, got -1.6366953039480735e+150"),
+    ])
+    def test_message_prints_the_coupling_given(self, capsys, argv, message):
+        """The coupling as given, not the radius 2|g|, which is inf for the first two."""
+        code, _, err = run(capsys, *argv, "--sites", "5")
+        assert (code, err) == (2, f"error: {message.format(self.RADIUS)}\n")
 
     def test_radius_at_the_bound_is_accepted(self, capsys):
         half = repr(2.0**499)  # 2 |g| is the bound itself
@@ -1013,10 +1039,12 @@ class TestSizeCaps:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command, cap", [("dag", graphs.MAX_DAG_LIMIT),
-                                              ("primes", core.MAX_PRIMES_LIMIT)])
+                                              ("primes", core.MAX_PRIMES_LIMIT),
+                                              ("turns", core.MAX_MEMBERS)])
     def test_cap_checked_before_the_width(self, capsys, command, cap):
-        code, out, err = run(capsys, command, "--limit", str(10**20))
-        assert (code, out, err) == (2, "", f"error: limit must be <= {cap}, got {10**20}\n")
+        flag = "k" if command == "turns" else "limit"
+        code, out, err = run(capsys, command, f"--{flag}", str(10**20))
+        assert (code, out, err) == (2, "", f"error: {flag} must be <= {cap}, got {10**20}\n")
 
     def test_caps_are_inclusive(self, capsys, monkeypatch):
         monkeypatch.undo()

@@ -350,6 +350,11 @@ class TestTopologicalSort:
         with pytest.raises(InvariantError, match=r"edge \(1, 3\) references a missing node"):
             verify_acyclic_and_sort(dag)
 
+    def test_checks_alone(self):
+        assert verify_acyclic_and_sort(build_dag(100), sort=False) is None
+        with pytest.raises(InvariantError, match=r"edge \(5, 3\) does not point forward"):
+            verify_acyclic_and_sort(hand_made_dag([3, 5], [(5, 3)]), sort=False)
+
     def test_large_dag_sorts_completely(self):
         dag = build_dag(1000, include_gap_primes=True)
         assert len(verify_acyclic_and_sort(dag)) == len(dag.nodes)

@@ -133,11 +133,11 @@ table_cell = st.one_of(
 @given(st.integers(1, 12).flatmap(
            lambda n: st.lists(st.lists(table_cell, min_size=n, max_size=n), min_size=1,
                               max_size=8)),
-       st.sampled_from([1, 5, serialize.BLOCK_CELLS]))
+       st.sampled_from([1, 5, serialize.BLOCK_MAX]))
 def test_real_table_rows(rows, block):
     """The table writer against '%.12g' per cell, with blocks of one cell (every
     row split), of a few cells, and of the default size."""
-    with mock.patch.object(serialize, "BLOCK_CELLS", block):
+    with mock.patch.object(serialize, "BLOCK_MAX", block):
         text = "".join(serialize.real_csv_rows(np.array(rows)))
     assert text == "".join(ref_line([i, *row]) for i, row in enumerate(rows))
 
@@ -148,6 +148,6 @@ def test_every_edge_cell():
     rows = np.array(EDGE_CELLS + [-x for x in EDGE_CELLS]).reshape(-1, 11)
     assert rows.size == 1298
     expected = "".join(ref_line([i, *row]) for i, row in enumerate(rows.tolist()))
-    for block in (1, 5, serialize.BLOCK_CELLS):
-        with mock.patch.object(serialize, "BLOCK_CELLS", block):
+    for block in (1, 5, serialize.BLOCK_MAX):
+        with mock.patch.object(serialize, "BLOCK_MAX", block):
             assert_same_lines("".join(serialize.real_csv_rows(rows)), expected)

@@ -174,9 +174,11 @@ class TestFloatRows:
         assert out == ref_csv(header, ([s, *row.tolist()] for s, row in enumerate(series)))
         assert "e-" in out  # small probabilities take exponents
 
-    @pytest.mark.parametrize("shape", [(10_050, 1), (3, 2 * serialize.BLOCK_CELLS + 7)])
+    @pytest.mark.parametrize("shape", [(10_050, 1), (3, 2 * serialize.BLOCK_MAX + 7), (501, 200),
+                                       (2, serialize.BLOCK_MAX + 1)])
     def test_real_table_shapes(self, shape):
-        """Row indices of 1-5 digits, and rows split over three blocks."""
+        """Row indices of 1-5 digits, rows split over three blocks, whole rows
+        whose blocks end mid-table, and rows one cell wider than a block."""
         table = np.random.default_rng(5).random(shape) ** 9
         text = "".join(serialize.real_csv_rows(table))
         assert text == "".join(ref_line([i, *row]) for i, row in enumerate(table.tolist()))
