@@ -145,13 +145,12 @@ def _out_stream(path: Optional[str]):
         raise
 
 
-def _require(cfg: RunConfig, name: str, cap: Optional[int] = None):
+def _require(cfg: RunConfig, name: str, cap: Optional[int] = None, low: int = 1):
+    """A required flag's value, checked here only when the command caps it."""
     value = getattr(cfg, name)
     if value is None:
         raise ValueError(f"{name} is required for this command")
-    if cap is not None and value > cap:
-        raise ResourceLimitError(f"{name} must be <= {cap}, got {value}")
-    return value
+    return value if cap is None else core.check_int(value, name, low, cap)
 
 
 def _format(cfg: RunConfig, default: str) -> str:
@@ -189,22 +188,10 @@ def _parse_motions(value) -> List[curves.RigidMotion]:
         unknown = set(entry) - {"rotation", "reflect", "translation"}
         if unknown:
             raise ValueError(f"placements[{i}] has unknown keys: {sorted(unknown)}")
-        translation = entry.get("translation", [0, 0])
-        if not isinstance(translation, list) or list(map(type, translation)) != [int, int]:
-            raise ValueError(f"placements[{i}] translation must be two integers, "
-                             f"got {json.dumps(translation)}")
-        if any(abs(c) > curves.COORD_BOUND for c in translation):
-            raise ValueError(f"placements[{i}] translation must be within +-2**62, "
-                             f"got {json.dumps(translation)}")
-        rotation = entry.get("rotation", 0)
-        if type(rotation) is not int or rotation not in (0, 90, 180, 270):
-            raise ValueError(f"placements[{i}] rotation must be one of 0/90/180/270, "
-                             f"got {json.dumps(rotation)}")
-        reflect = entry.get("reflect", False)
-        if not isinstance(reflect, bool):
-            raise ValueError(f"placements[{i}] reflect must be true or false, "
-                             f"got {json.dumps(reflect)}")
-        motions.append(curves.RigidMotion(rotation, reflect, tuple(translation)))
+        try:
+            motions.append(curves.RigidMotion(**entry))  # its defaults are the keys' defaults
+        except ValueError as exc:
+            raise ValueError(f"placements[{i}]: {exc}") from None
     return motions
 
 
@@ -241,7 +228,7 @@ def _chain_sites(cfg: RunConfig, low: int, cap: int) -> int:
     """The chain's sites, given or counted from limit. A count outside
     low..cap is reported against limit, the flag that was given."""
     if cfg.sites is not None:
-        return _require(cfg, "sites", cap)
+        return _require(cfg, "sites", cap, low)
     if cfg.limit is None:
         raise ValueError("either sites or limit is required for this command")
     limit = _require(cfg, "limit", core.MAX_MEMBERS)
@@ -360,8 +347,6 @@ def _cmd_seahorse_scan(cfg: RunConfig) -> int:
 
 
 def _cmd_dragon(cfg: RunConfig) -> int:
-    if cfg.max_edges < 1:
-        raise ValueError(f"max_edges must be >= 1, got {cfg.max_edges}")
     _require(cfg, "max_edges", curves.DEFAULT_EDGE_CAP)
     seed = curves.trace(_seed_turns(cfg))
     grown = curves.iterate_dragon(seed, cfg.generations, max_edges=cfg.max_edges)

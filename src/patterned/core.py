@@ -83,13 +83,17 @@ class Members(NamedTuple):
         return parity
 
 
-def _check_positive(n: int, name: str = "n") -> None:
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"{name} must be an integer, got {type(n).__name__}")
-    if n < 1:
-        raise ValueError(f"{name} must be >= 1, got {n}")
-    if n > MAX_INT:
-        raise ValueError(f"{name} exceeds the supported width (2**63 - 1)")
+def check_int(value: int, name: str, low: int = 1, cap: Optional[int] = MAX_INT) -> int:
+    """``value``, once it is checked to be an int (not a bool) in low..cap: the one
+    check of every count, size and length the package takes. The cap is checked
+    before the floor; ``cap=None`` leaves it to a compound cap the caller checks."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {type(value).__name__}")
+    if cap is not None and value > cap:
+        raise ResourceLimitError(f"{name} must be <= {cap}, got {value}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
 
 
 # Sets of digits are 10-bit masks, bit d standing for the digit d. Whether a
@@ -178,7 +182,7 @@ def count_patterned(limit: int) -> int:
     with k digits after it adds one table count of its completions, at most
     nine lookups per digit.
     """
-    _check_positive(limit, "limit")
+    check_int(limit, "limit")
     places = str(limit)
     count, prefix, seen, has_one = 0, 0, 0, False
     for k in range(len(places) - 1, -1, -1):
@@ -221,7 +225,7 @@ def profile(n: int) -> DigitDivisorProfile:
     The digit 0 can never witness the property (nothing is divisible by 0),
     so matches are always drawn from 1..9.
     """
-    _check_positive(n)
+    check_int(n, "n")
     digits, matches = (int(m[0]) for m in classify_block(np.array([n], dtype=np.int64)))
     count = bin(matches).count("1")
     return DigitDivisorProfile(
@@ -239,7 +243,7 @@ def profile_blocks(limit: int) -> Iterator[Tuple[np.ndarray, ...]]:
     """(numbers, digit masks, divisor masks, match masks) of the
     qualifying n <= limit, one block at a time: :func:`profile` as masks.
     ``limit`` is checked at the call, the blocks are made as they are read."""
-    _check_positive(limit, "limit")
+    check_int(limit, "limit")
     return (
         (numbers, digits, _DIVISOR_MASKS[numbers % 2520], matches)
         for numbers, digits, matches in _member_blocks(limit)
@@ -248,7 +252,7 @@ def profile_blocks(limit: int) -> Iterator[Tuple[np.ndarray, ...]]:
 
 def is_patterned_digit_first(n: int) -> bool:
     """Predicate via a scan over the digits of n (arithmetic extraction)."""
-    _check_positive(n)
+    check_int(n, "n")
     m = n
     while m:
         m, d = divmod(m, 10)
@@ -264,7 +268,7 @@ def is_patterned_divisor_first(n: int) -> bool:
     block classifier; the three exist so exhaustive cross-checks can treat
     one as an oracle for the others.
     """
-    _check_positive(n)
+    check_int(n, "n")
     rep = str(n)
     for d in range(1, 10):
         if n % d == 0 and str(d) in rep:
@@ -310,9 +314,7 @@ def is_prime(n: int) -> bool:
 
 def prime_array(limit: int) -> np.ndarray:
     """Sieve of Eratosthenes on a bool array; all primes <= limit, ascending, as int64."""
-    if isinstance(limit, int) and limit > MAX_PRIMES_LIMIT:
-        raise ResourceLimitError(f"limit must be <= {MAX_PRIMES_LIMIT}, got {limit}")
-    _check_positive(limit, "limit")
+    check_int(limit, "limit", cap=MAX_PRIMES_LIMIT)
     try:
         sieve = np.ones(limit + 1, dtype=bool)
         sieve[:2] = False
@@ -336,7 +338,7 @@ def is_patterned_prime(p: int, assume_prime: bool = False) -> bool:
     verified to be prime first (callers iterating over a sieve should set it
     and skip the redundant check).
     """
-    _check_positive(p, "p")
+    check_int(p, "p")
     if not assume_prime and not is_prime(p):
         raise ValueError(f"{p} is not prime; pass assume_prime=True to skip the check")
     if p <= 9:
@@ -353,11 +355,9 @@ def scan_members(limit: Optional[int] = None, k: Optional[int] = None) -> Member
     """The qualifying numbers <= limit or, without a limit, the first k, for k
     up to MAX_MEMBERS."""
     if limit is not None:
-        _check_positive(limit, "limit")
+        check_int(limit, "limit")
     else:
-        if isinstance(k, int) and k > MAX_MEMBERS:
-            raise ResourceLimitError(f"k must be <= {MAX_MEMBERS}, got {k}")
-        _check_positive(k, "k")
+        check_int(k, "k", cap=MAX_MEMBERS)
     numbers, matches, found = [], [], 0
     for block, _, block_matches in _member_blocks(limit or MAX_INT):
         numbers.append(block)

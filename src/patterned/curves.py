@@ -19,7 +19,7 @@ from typing import Iterable, List, Tuple
 
 import numpy as np
 
-from .core import turn_parity
+from .core import check_int, turn_parity
 from .errors import ResourceLimitError
 
 Point = Tuple[int, int]
@@ -358,7 +358,7 @@ class RigidMotion:
 
     def __post_init__(self):
         if type(self.rotation) is not int or self.rotation not in _ROTATIONS:
-            raise ValueError(f"rotation must be one of 0/90/180/270, got {self.rotation}")
+            raise ValueError(f"rotation must be one of 0/90/180/270, got {self.rotation!r}")
         if type(self.reflect) is not bool:
             raise ValueError(f"reflect must be True or False, got {self.reflect!r}")
         t = self.translation
@@ -407,8 +407,8 @@ def iterate_dragon(
     generation (before any edge deduplication). The result has no turn word.
     A curve with no segments is its own doubling, so it is returned as it is.
     """
-    if not isinstance(generations, int) or generations < 0:
-        raise ValueError(f"generations must be a non-negative integer, got {generations!r}")
+    check_int(generations, "generations", 0, None)  # capped by max_edges as it doubles
+    check_int(max_edges, "max_edges")
     if generations == 0 or curve.segment_count == 0:
         return curve
     path, quarter = curve.path, RigidMotion(90).matrix
@@ -574,13 +574,6 @@ MAX_SEAHORSE_LEN = 30
 MAX_ALL_WORDS_LEN = 20
 
 
-def _check_max_len(max_len: int, cap: int) -> None:
-    if not isinstance(max_len, int) or max_len < 1:
-        raise ValueError(f"max_len must be a positive integer, got {max_len!r}")
-    if max_len > cap:
-        raise ResourceLimitError(f"max_len must be <= {cap}, got {max_len}")
-
-
 def _walk_turn_words(max_len: int, prune: bool):
     """Depth-first walk over turn words of length 1..max_len, traced as by ``trace``.
 
@@ -626,7 +619,7 @@ def _walk_turn_words(max_len: int, prune: bool):
 def scan_turn_words(max_len: int) -> List[Tuple[str, SeahorseReport]]:
     """Classify every turn word of length 1..max_len (2^(max_len+1) - 2 words),
     listed by length, then alphabetically."""
-    _check_max_len(max_len, MAX_ALL_WORDS_LEN)
+    check_int(max_len, "max_len", cap=MAX_ALL_WORDS_LEN)
     by_length = [[] for _ in range(max_len + 1)]
     # eight shared reports, not one per row: the listing can hold millions of rows
     report = {flags: SeahorseReport(*flags) for flags in product((False, True), repeat=3)}
@@ -642,7 +635,7 @@ def seahorse_words(max_len: int) -> List[str]:
     """Turn words of length <= max_len whose curves satisfy all three conditions,
     listed by length, then alphabetically; found by the pruned walk, which
     tests the reflection only on curves with exactly one region."""
-    _check_max_len(max_len, MAX_SEAHORSE_LEN)
+    check_int(max_len, "max_len", cap=MAX_SEAHORSE_LEN)
     by_length = [[] for _ in range(max_len + 1)]
     for prefix, regions, end, edges, oks in _walk_turn_words(max_len, prune=True):
         if regions == 1 and _head_tail_symmetric(edges, (0, 0), end):

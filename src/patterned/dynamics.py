@@ -25,8 +25,10 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .core import (
+    MAX_MEMBERS,
     TURN_LEFT,
     TURN_RIGHT,
+    check_int,
     scan_members,
     site_energies,
     turn_parity,
@@ -202,10 +204,8 @@ def run_walk(
     checked before any work, the steps are not; on the reflecting boundary a row
     norm further than NORM_TOL from 1 then raises ``InvariantError``.
     """
-    if n_positions < 2:
-        raise ValueError(f"sites must be >= 2 for a walk, got {n_positions}")
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
+    check_int(n_positions, "sites", 2, MAX_MEMBERS)
+    check_int(steps, "steps", 0, None)  # capped with the sites below
     if (steps + 1) * n_positions > MAX_WALK_CELLS:
         raise ResourceLimitError(
             f"steps must keep (steps + 1) * sites <= {MAX_WALK_CELLS}, got {steps} "
@@ -301,8 +301,7 @@ def patterned_chain(
     chain pictures together); ``omega_mode='constant'`` uses a flat omega.
     A Gershgorin radius past SPECTRUM_BOUND raises, naming what set it.
     """
-    if n_sites < 1:
-        raise ValueError(f"sites must be >= 1, got {n_sites}")
+    check_int(n_sites, "sites", cap=MAX_MEMBERS)
     if omega_mode not in (OMEGA_FROM_ENERGY, OMEGA_CONSTANT):
         raise ValueError(f"omega_mode must be 'energy' or 'constant', got {omega_mode!r}")
     for name, value in (("g_l", g_L), ("g_r", g_R)):
@@ -393,8 +392,7 @@ def adiabatic_sweep(chain: OscillatorChain, s_grid: Sequence[float]) -> List[Swe
 
     Every s is checked before the first eigensolve; the bands are built once.
     """
-    if chain.n_sites < 2:
-        raise ValueError(f"sites must be >= 2 for a spectral gap, got {chain.n_sites}")
+    check_int(chain.n_sites, "sites", 2)  # a spectral gap needs two eigenvalues
     grid = list(s_grid)
     for s in grid:
         if not 0.0 <= s <= 1.0:

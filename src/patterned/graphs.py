@@ -13,8 +13,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import classify_block, prime_array, scan_members
-from .errors import InvariantError, ResourceLimitError
+from .core import check_int, classify_block, prime_array, scan_members
+from .errors import InvariantError
 
 KIND_PATTERNED_PRIME_SMALL = "patterned_prime_small"
 KIND_PATTERNED_PRIME_DIGIT1 = "patterned_prime_digit1"
@@ -93,10 +93,7 @@ def build_dag(
     consecutive qualifying primes. Gap primes can be added as isolated
     labeled nodes for context; they never carry edges.
     """
-    if not isinstance(limit, int) or limit < 2:
-        raise ValueError(f"limit must be an integer >= 2, got {limit!r}")
-    if limit > MAX_DAG_LIMIT:
-        raise ResourceLimitError(f"limit must be <= {MAX_DAG_LIMIT}, got {limit}")
+    check_int(limit, "limit", 2, MAX_DAG_LIMIT)
     members = scan_members(limit=limit).numbers
     primes, qualifies = split_primes(limit)
     pp, gp = primes[qualifies], primes[~qualifies]

@@ -106,7 +106,7 @@ class TestCount:
         assert payload["density"] == 8_966_875_490_664_456_428 / (2**63 - 1)
         code, out, err = run(capsys, "count", "--limit", "9223372036854775808")
         assert code == 2 and out == ""
-        assert err == "error: limit exceeds the supported width (2**63 - 1)\n"
+        assert err == "error: limit must be <= 9223372036854775807, got 9223372036854775808\n"
 
 
 class TestPrimes:
@@ -363,7 +363,8 @@ class TestTessellate:
             "--placements", placements, "--out", str(out_file),
         )
         assert code == 2 and out == ""
-        assert "placements[1] translation must be two integers" in err
+        assert err == (f"error: placements[1]: translation must be an integer vector (x, y), "
+                       f"got {json.loads(translation)!r}\n")
         assert not out_file.exists()
 
     @pytest.mark.parametrize("key, value", [
@@ -379,7 +380,7 @@ class TestTessellate:
             "--placements", placements, "--out", str(out_file),
         )
         assert code == 2 and out == ""
-        assert f"placements[1] {key} must be" in err and value in err
+        assert f"placements[1]: {key} must be" in err and repr(json.loads(value)) in err
         assert not out_file.exists()
 
     def test_placements_not_json_names_the_flag(self, capsys):
@@ -396,8 +397,8 @@ class TestTessellate:
         code, out, err = run(capsys, "tessellate", "--word", "RRRR",
                              "--placements", placements, "--out", str(out_file))
         assert code == 2 and out == ""
-        assert err == (f"error: placements[1] translation must be within +-2**62, "
-                       f"got {json.dumps(translation)}\n")
+        assert err == (f"error: placements[1]: translation coordinates must be within +-2**62, "
+                       f"got {translation!r}\n")
         assert not out_file.exists()
 
     def test_reflect_false_does_not_reflect(self, capsys):

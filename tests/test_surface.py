@@ -1,5 +1,6 @@
-"""The library surface: the public names, and every function in ``src/`` run
-by some command line or on :data:`NOT_RUN_BY_COMMANDS`, so dead code shows."""
+"""The library surface: the public names, every function in ``src/`` run by
+some command line or on :data:`NOT_RUN_BY_COMMANDS`, so dead code shows, and
+the one integer check at every entry that takes a count, size or length."""
 
 import inspect
 import json
@@ -7,10 +8,12 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import patterned
-from patterned import cli
+from patterned import cli, core, curves, dynamics, graphs
+from patterned.errors import ResourceLimitError
 
 PUBLIC = [
     "CoinSpec", "CurveStats", "DensityReport", "DigitDivisorProfile", "LatticeCurve",
@@ -137,3 +140,57 @@ def test_every_function_is_run_by_a_command_or_listed(tmp_path, monkeypatch):
     unlisted = [name for key, name in defined.items() if key not in run and not any(
         name == listed or name.startswith(listed + ".") for listed in NOT_RUN_BY_COMMANDS)]
     assert unlisted == []
+
+
+_SEED = curves.trace("LLR")
+
+# Each entry that checks an integer argument with core.check_int: the call, the
+# argument it names, its floor and its cap (None where a compound cap follows).
+GUARDED = {
+    "scan_members(limit=)": (lambda v: core.scan_members(limit=v), "limit", 1, core.MAX_INT),
+    "scan_members(k=)": (lambda v: core.scan_members(k=v), "k", 1, core.MAX_MEMBERS),
+    "count_patterned": (core.count_patterned, "limit", 1, core.MAX_INT),
+    "profile_blocks": (core.profile_blocks, "limit", 1, core.MAX_INT),
+    "prime_array": (core.prime_array, "limit", 1, core.MAX_PRIMES_LIMIT),
+    "build_dag": (graphs.build_dag, "limit", 2, graphs.MAX_DAG_LIMIT),
+    "seahorse_words": (curves.seahorse_words, "max_len", 1, curves.MAX_SEAHORSE_LEN),
+    "scan_turn_words": (curves.scan_turn_words, "max_len", 1, curves.MAX_ALL_WORDS_LEN),
+    "iterate_dragon(generations)": (lambda v: curves.iterate_dragon(_SEED, v, max_edges=64),
+                                    "generations", 0, None),
+    "iterate_dragon(max_edges)": (lambda v: curves.iterate_dragon(_SEED, 1, max_edges=v),
+                                  "max_edges", 1, core.MAX_INT),
+    "run_walk(sites)": (lambda v: dynamics.run_walk(v, 2), "sites", 2, core.MAX_MEMBERS),
+    "run_walk(steps)": (lambda v: dynamics.run_walk(5, v), "steps", 0, None),
+    "patterned_chain": (lambda v: dynamics.patterned_chain(v, 1.0, 1.0), "sites", 1,
+                        core.MAX_MEMBERS),
+}
+
+
+@pytest.mark.parametrize("kind", ["bool", "float", "int64", "below", "past_cap", "2**63"])
+@pytest.mark.parametrize("entry", GUARDED)
+def test_integer_arguments_checked_at_the_entry(entry, kind):
+    call, name, low, cap = GUARDED[entry]
+    past = 2**63 if cap is None else cap + 1
+    value, error, text = {
+        "bool": (True, ValueError, "must be an integer, got bool"),
+        "float": (3.0, ValueError, "must be an integer, got float"),
+        "int64": (np.int64(3), ValueError, "must be an integer, got int64"),
+        "below": (low - 1, ValueError, f"must be >= {low}, got {low - 1}"),
+        "past_cap": (past, ResourceLimitError, cap and f"must be <= {cap}, got {past}"),
+        "2**63": (2**63, ResourceLimitError, cap and f"must be <= {cap}, got {2**63}"),
+    }[kind]
+    with pytest.raises(ValueError) as info:
+        call(value)
+    assert type(info.value) is error
+    message = str(info.value)
+    # a compound cap words its own message, but names the argument first
+    assert message.startswith(f"{name} ") and (text is None or message == f"{name} {text}")
+
+
+def test_check_int_reports_the_cap_before_the_floor_and_the_width():
+    with pytest.raises(ResourceLimitError, match=r"^x must be <= 3, got 5$"):
+        core.check_int(5, "x", low=10, cap=3)
+    with pytest.raises(ResourceLimitError, match=r"^x must be <= 9223372036854775807, got "):
+        core.check_int(2**63, "x")
+    assert core.check_int(2**70, "x", 0, None) == 2**70
+    assert core.check_int(0, "x", 0) == 0
